@@ -504,11 +504,11 @@ func (e *Engine) Cancel(h des.Handle) {
 	if !ok {
 		panic("optsim: Cancel of a handle from a different engine")
 	}
-	if ev.launched {
-		e.rollback(ev.shard)
-	}
 	if ev.pos < 0 {
 		return
+	}
+	if ev.launched {
+		e.rollback(ev.shard)
 	}
 	heap.Remove(&e.heap, ev.pos)
 }

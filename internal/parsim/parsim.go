@@ -349,11 +349,11 @@ func (e *Engine) Cancel(h des.Handle) {
 	if !ok {
 		panic("parsim: Cancel of a handle from a different engine")
 	}
-	if ev.launched {
-		panic("parsim: Cancel of an event whose phase is in flight (lookahead violation)")
-	}
 	if ev.pos < 0 {
 		return
+	}
+	if ev.launched {
+		panic("parsim: Cancel of an event whose phase is in flight (lookahead violation)")
 	}
 	heap.Remove(&e.heap, ev.pos)
 }
