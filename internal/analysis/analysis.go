@@ -127,11 +127,11 @@ const (
 	// WaiverSpawn marks a deliberate goroutine or select (real-I/O
 	// subsystems that bridge into the simulation).
 	WaiverSpawn = "charmvet:spawn"
-	// WaiverParsim marks the parallel engine's phase-worker spawns. It is
-	// honored only inside parsim packages: the conservative scheduler is
-	// the one place where goroutines provably cannot reorder events (see
-	// internal/parsim's package comment), so the waiver must not leak into
-	// runtime or app code.
+	// WaiverParsim marks the parallel engine core's phase-worker spawns.
+	// It is honored only inside that package (internal/optsim, the core
+	// both parallel backends run on): its commit pipeline is the one place
+	// where goroutines provably cannot reorder events (see its package
+	// comment), so the waiver must not leak into runtime or app code.
 	WaiverParsim = "charmvet:parsim"
 	// WaiverTelemetry marks the observability layer's wall-clock reads. It
 	// is honored only inside telemetry packages, and even there only for

@@ -733,8 +733,10 @@ func scheduleCallKind(info *types.Info, call *ast.CallExpr) (RootKind, bool) {
 		if isCtxPtr(recv) {
 			return RootCommit, true
 		}
-	case "At", "After", "AtShard", "AtShardFn", "AtShardCommit", "RunAt":
-		if typeInPkgNamed(recv, "des", "parsim") {
+	case "At", "After", "AtShardFn", "AtShardCommit", "RunAt":
+		// des.Engine, the engine core that holds the parallel engines'
+		// internals, and the conservative backend's wrapper over it.
+		if typeInPkgNamed(recv, "des", "optsim", "parsim") {
 			return RootSchedule, true
 		}
 	case "ExecuteOnPE", "atEpoch", "AtEpoch":

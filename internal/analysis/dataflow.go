@@ -107,7 +107,7 @@ func chainSuffix(chain []string) string {
 
 // PhaseReach computes (once) reachability restricted to phase-side code:
 // starting from entry-method and PE-handler roots only, never entering the
-// runtime packages (charm/des/parsim — the engine's own bookkeeping is not
+// runtime packages (charm/des/optsim — the engine's own bookkeeping is not
 // application phase code) and never crossing into commit/schedule closures,
 // which run at commit time rather than during the phase.
 func (g *Graph) PhaseReach() map[*Node]reachEdge {
@@ -137,7 +137,7 @@ func isRuntimePkg(path string) bool {
 	for _, p := range []string{
 		"charmgo/internal/charm",
 		"charmgo/internal/des",
-		"charmgo/internal/parsim",
+		"charmgo/internal/optsim",
 	} {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true

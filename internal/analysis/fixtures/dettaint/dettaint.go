@@ -92,7 +92,7 @@ func onSpawn(obj any, ctx *charm.Ctx, msg any) {
 	go spin()
 
 	//charmvet:parsim (not honored here)
-	go spin() // want `charmvet:parsim waiver is only honored inside the parsim engine`
+	go spin() // want `charmvet:parsim waiver is only honored inside the engine core`
 
 	//charmvet:telemetry (not honored here: this is app code, not the telemetry layer)
 	_ = stdtime.Now() // want `charmvet:telemetry waiver is only honored inside the telemetry layer`

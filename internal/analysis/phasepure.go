@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// PhasePure checks the two-phase commit discipline the parsim backend
-// depends on (see internal/parsim): during the *phase*, entry methods from
+// PhasePure checks the two-phase commit discipline the parallel backends
+// depend on (see internal/optsim): during the *phase*, entry methods from
 // the same conservative window run concurrently, each touching only its own
 // chare's state and buffering global effects through Ctx (Send, Defer);
 // at *commit*, the buffered effects replay sequentially in virtual-time
@@ -29,7 +29,7 @@ import (
 // Phase-side code is computed from the call graph: every function
 // reachable from an entry-method or PE-handler root without crossing into
 // a commit/scheduled closure or into the runtime's own packages
-// (charm/des/parsim — they are the mechanism this discipline protects, and
+// (charm/des/optsim — they are the mechanism this discipline protects, and
 // their internals run under the engine's own locks and orderings).
 // Deliberate exceptions — state that is PE-local by construction, or
 // sequential-backend-only paths — carry //charmvet:phase.

@@ -81,7 +81,7 @@ func (d *detector) tick() {
 	for pe := 1; pe < n; pe++ {
 		pe := pe
 		pingAt := now + maxTime(mach.NetDelay(0, pe, hbBytes), d.alpha)
-		eng.AtShard(rt.ShardOf(pe), pingAt, func() func() {
+		eng.AtShardFn(rt.ShardOf(pe), pingAt, des.ClosurePhase, func() func() {
 			return func() {
 				// A dead PE never acks; that silence is the signal.
 				if rt.PEDead(pe) || d.ctrl.err != nil {
@@ -90,7 +90,7 @@ func (d *detector) tick() {
 				ackAt := rt.Now() + maxTime(mach.NetDelay(pe, 0, hbBytes), 2*d.alpha)
 				d.globalAt(ackAt, func() { acks[pe] = true })
 			}
-		})
+		}, 0)
 	}
 
 	d.globalAt(now+d.timeout, func() {

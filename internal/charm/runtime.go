@@ -274,8 +274,11 @@ type RuntimeStats struct {
 // New creates a runtime over a machine. The machine config's Backend field
 // selects the event engine: sequential (the default calendar-queue engine),
 // heap (the reference binary-heap engine, for differential tests and
-// benchmarks), or the conservative parallel engine of internal/parsim; all
-// produce bit-identical runs.
+// benchmarks), parallel (internal/parsim: the parallel engine core under
+// its conservative lookahead policy), or optimistic (internal/optsim: the
+// same core under its Time Warp policy, with the runtime's speculation
+// controller installed to roll shards back); all produce bit-identical
+// runs.
 func New(m *machine.Machine) *Runtime {
 	cfg := m.Config()
 	var eng des.Engine
@@ -641,7 +644,7 @@ func (rt *Runtime) updateLocCache(srcPE int, key elemKey, ownerPE, homePE int, e
 	at := rt.eng.Now() + rt.mach.NetDelay(homePE, srcPE, 24)
 	epoch, tep := rt.epoch, rt.tableEpoch
 	ent := locEnt{pe: int32(ownerPE), eid: eid}
-	rt.eng.AtShard(rt.shardOf(srcPE), at, func() func() {
+	rt.eng.AtShardFn(rt.shardOf(srcPE), at, des.ClosurePhase, func() func() {
 		// Epoch reads from a phase are race-free: rollbacks bump the epoch —
 		// and compaction the table epoch — only inside global events, which
 		// never overlap a phase. A hint minted under an older table numbering
@@ -654,7 +657,7 @@ func (rt *Runtime) updateLocCache(srcPE int, key elemKey, ownerPE, homePE int, e
 			rt.cacheLoc(p, key, ent)
 		}
 		return nil
-	})
+	}, 0)
 }
 
 // enqueue places m in dst's scheduler queue and pumps the PE.
@@ -898,7 +901,7 @@ func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
 		panic(fmt.Sprintf("charm: ExecuteOnPE with negative delay %v", delay))
 	}
 	epoch := rt.epoch
-	rt.eng.AtShard(rt.shardOf(pe), rt.eng.Now()+delay, func() func() {
+	rt.eng.AtShardFn(rt.shardOf(pe), rt.eng.Now()+delay, des.ClosurePhase, func() func() {
 		return func() {
 			if rt.epoch != epoch {
 				return // flush timer armed before a rollback
@@ -912,7 +915,7 @@ func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
 			m.srcPE = pe
 			rt.enqueue(m, pe)
 		}
-	})
+	}, 0)
 }
 
 // ProbablePE returns fromPE's best guess of where element idx of arr lives

@@ -6,14 +6,17 @@
 // ordered by an insertion sequence number, which makes every simulation run
 // bit-for-bit reproducible.
 //
-// Three implementations exist: Sequential (this package) executes every
-// event on the calling goroutine from a slab-allocated event store drained
-// through a calendar queue; Heap (this package) is the original binary-heap
-// executor, kept as the reference for differential order tests and for
-// measuring the calendar engine's speedup; and internal/parsim executes
-// provably independent events on worker goroutines while preserving the
-// exact (timestamp, sequence) commit order. All satisfy the Engine
-// interface and produce identical event orders.
+// Four engines satisfy the Engine interface and produce identical event
+// orders. Sequential (this package) executes every event on the calling
+// goroutine from a slab-allocated event store drained through a calendar
+// queue. Heap (this package) is the original binary-heap executor, kept as
+// the reference for differential order tests and for measuring the
+// calendar engine's speedup. The two parallel engines share one core in
+// internal/optsim, which executes event phases on worker goroutines while
+// preserving the exact (timestamp, sequence) commit order: internal/parsim
+// runs it under the conservative policy (phases launch only inside the
+// lookahead window) and internal/optsim under the optimistic one (phases
+// speculate and roll back on a straggler).
 package des
 
 import "math"
@@ -24,13 +27,20 @@ type Time float64
 // Forever is a timestamp later than any event the engine will execute.
 const Forever Time = Time(math.MaxFloat64)
 
-// PhaseFn is a preallocated two-phase event body. Engines call it at pop
-// with the event's payload pair and timestamp; like the closure form it may
-// touch only shard-local state and returns a commit closure (or nil) that
-// runs with global state exclusively held. Schedulers pass a long-lived
-// function value (typically a method value created once at startup) so the
-// hot send path schedules without allocating a closure per event.
+// PhaseFn is a two-phase event body. Engines call it at pop with the
+// event's payload pair and timestamp; it may touch only shard-local state
+// and must not call back into the engine, and it returns a commit closure
+// (or nil) that runs with global state exclusively held. Schedulers pass a
+// long-lived function value (typically a method value created once at
+// startup) so the hot send path schedules without allocating a closure per
+// event; one-off closures go through ClosurePhase.
 type PhaseFn func(a any, b int64, at Time) func()
+
+// ClosurePhase is the PhaseFn for a one-off two-phase closure: schedule fn,
+// a func() func() that runs the phase and returns its commit (or nil), as
+// AtShardFn(shard, t, ClosurePhase, fn, 0). The closure costs an
+// allocation per event, so hot paths pass a long-lived PhaseFn instead.
+func ClosurePhase(a any, _ int64, _ Time) func() { return a.(func() func())() }
 
 // CommitFn is a preallocated commit-only event body: the whole event runs
 // at commit position (global state allowed, no concurrent phase work).
@@ -52,15 +62,12 @@ type Engine interface {
 	// At schedules fn to run at absolute virtual time t as a global event:
 	// fn may touch any simulation state, so a parallel engine runs it alone.
 	At(t Time, fn func()) Handle
-	// AtShard schedules a two-phase event bound to a shard (a virtual
-	// node). The phase function fn may touch only shard-local state and
-	// must not call back into the engine; it returns a commit closure (or
-	// nil) that the engine runs with global state exclusively held, in
-	// exact (timestamp, sequence) order. A sequential engine runs phase
-	// and commit back to back.
-	AtShard(shard int, t Time, fn func() func()) Handle
-	// AtShardFn is AtShard without the per-event closure: fn is a
-	// long-lived PhaseFn invoked with (a, b, t) at pop.
+	// AtShardFn schedules a two-phase event bound to a shard (a virtual
+	// node): fn is invoked with (a, b, t) at pop, may touch only
+	// shard-local state, and returns a commit closure (or nil) that the
+	// engine runs with global state exclusively held, in exact (timestamp,
+	// sequence) order. A sequential engine runs phase and commit back to
+	// back; a parallel one may run the phase early on a worker.
 	AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle
 	// AtShardCommit schedules a sharded event whose entire body runs at
 	// commit position, again without a per-event closure.
@@ -82,10 +89,11 @@ type Engine interface {
 // HorizonReporter is implemented by engines that can report a safe
 // scheduling horizon for *global* events: the earliest timestamp at which a
 // new global event is guaranteed not to precede any phase the engine has
-// already handed to a worker. The sequential engine's horizon is simply
-// Now(); the parallel engine's is the high-water timestamp of its in-flight
-// phases. Fault-recovery code uses this to schedule a rollback — a global
-// event — from inside an event commit without tripping the parallel
+// already handed to a worker. The sequential engines' horizon is simply
+// Now(), and so is the optimistic engine's (a global in a speculation's
+// past rolls it back); the conservative engine's is its latest in-flight
+// launch. Fault-recovery code uses this to schedule a rollback — a global
+// event — from inside an event commit without tripping the conservative
 // engine's lookahead guard.
 type HorizonReporter interface {
 	GlobalHorizon() Time
@@ -184,9 +192,9 @@ type Ref interface {
 }
 
 // Handle allows a scheduled event to be cancelled before it fires. Two
-// representations exist: pointer-based engines (Heap, parsim) wrap a Ref;
-// the slab-backed Sequential engine mints index+generation handles so the
-// hot path never allocates.
+// representations exist: pointer-based engines (Heap and the parallel core
+// in internal/optsim) wrap a Ref; the slab-backed Sequential engine mints
+// index+generation handles so the hot path never allocates.
 type Handle struct {
 	ev  Ref
 	eng *Sequential

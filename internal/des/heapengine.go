@@ -30,7 +30,6 @@ func NewHeapEngine() *Heap {
 type Event struct {
 	At    Time
 	Fn    func()
-	sfn   func() func() // sharded two-phase body (nil for global events)
 	pfn   PhaseFn
 	cfn   CommitFn
 	a     any
@@ -97,18 +96,8 @@ func (e *Heap) At(t Time, fn func()) Handle {
 	return HandleFor(ev)
 }
 
-// AtShard schedules a two-phase event; phase and commit run back to back.
-func (e *Heap) AtShard(shard int, t Time, fn func() func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{At: t, sfn: fn, shard: shard, seq: e.seq}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
-}
-
-// AtShardFn schedules a two-phase event from a preallocated PhaseFn.
+// AtShardFn schedules a two-phase event; phase and commit run back to
+// back.
 func (e *Heap) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
@@ -172,17 +161,10 @@ func (e *Heap) Step() bool {
 	if e.sink != nil {
 		e.sink.PhaseStart(ev.shard, ev.At)
 	}
-	switch {
-	case ev.cfn != nil:
+	if ev.cfn != nil {
 		ev.cfn(ev.a, ev.b, ev.At)
-	case ev.pfn != nil:
-		if commit := ev.pfn(ev.a, ev.b, ev.At); commit != nil {
-			commit()
-		}
-	default:
-		if commit := ev.sfn(); commit != nil {
-			commit()
-		}
+	} else if commit := ev.pfn(ev.a, ev.b, ev.At); commit != nil {
+		commit()
 	}
 	if e.sink != nil {
 		e.sink.PhaseDone(ev.shard, ev.At)

@@ -53,10 +53,9 @@ const (
 // slot is one event's storage in the slab.
 type slot struct {
 	at    Time
-	fn    func()        // global body
-	sfn   func() func() // sharded two-phase body (closure form)
-	pfn   PhaseFn       // sharded two-phase body (preallocated form)
-	cfn   CommitFn      // sharded commit-only body
+	fn    func()   // global body
+	pfn   PhaseFn  // sharded two-phase body
+	cfn   CommitFn // sharded commit-only body
 	a     any
 	b     int64
 	seq   uint64
@@ -191,7 +190,7 @@ func (e *Sequential) alloc(t Time, shard int32) int32 {
 // reclaim returns a drained or cancelled slot to the free list.
 func (e *Sequential) reclaim(id int32) {
 	s := &e.slots[id]
-	s.fn, s.sfn, s.pfn, s.cfn, s.a = nil, nil, nil, nil, nil
+	s.fn, s.pfn, s.cfn, s.a = nil, nil, nil, nil
 	s.state = slotFree
 	s.next = e.free
 	e.free = id
@@ -434,20 +433,9 @@ func (e *Sequential) At(t Time, fn func()) Handle {
 	return e.handle(id)
 }
 
-// AtShard schedules a two-phase event; the sequential engine ignores the
+// AtShardFn schedules a two-phase event; the sequential engine ignores the
 // shard and runs phase and commit back to back, which makes the sharded
 // path behaviourally identical to a plain At.
-func (e *Sequential) AtShard(shard int, t Time, fn func() func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
-	}
-	id := e.alloc(t, int32(shard))
-	e.slots[id].sfn = fn
-	e.push(id)
-	return e.handle(id)
-}
-
-// AtShardFn schedules a two-phase event from a preallocated PhaseFn.
 func (e *Sequential) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
@@ -490,7 +478,7 @@ func (e *Sequential) Cancel(h Handle) {
 	s := &e.slots[h.id>>32]
 	s.state = slotCancelled
 	s.gen++
-	s.fn, s.sfn, s.pfn, s.cfn, s.a = nil, nil, nil, nil, nil
+	s.fn, s.pfn, s.cfn, s.a = nil, nil, nil, nil
 	e.count--
 }
 
@@ -507,41 +495,24 @@ func (e *Sequential) Step() bool {
 	e.count--
 	s := &e.slots[id]
 	at, shard := s.at, int(s.shard)
-	fn, sfn, pfn, cfn := s.fn, s.sfn, s.pfn, s.cfn
+	fn, pfn, cfn := s.fn, s.pfn, s.cfn
 	a, b := s.a, s.b
-	s.fn, s.sfn, s.pfn, s.cfn, s.a = nil, nil, nil, nil, nil
+	s.fn, s.pfn, s.cfn, s.a = nil, nil, nil, nil
 	s.gen++
 	s.state = slotFree
 	s.next = e.free
 	e.free = id
 	e.now = at
 	e.executed++
-	switch {
-	case fn != nil:
+	if fn != nil {
 		fn()
-	case cfn != nil:
+	} else {
 		if e.sink != nil {
 			e.sink.PhaseStart(shard, at)
 		}
-		cfn(a, b, at)
-		if e.sink != nil {
-			e.sink.PhaseDone(shard, at)
-		}
-	case pfn != nil:
-		if e.sink != nil {
-			e.sink.PhaseStart(shard, at)
-		}
-		if commit := pfn(a, b, at); commit != nil {
-			commit()
-		}
-		if e.sink != nil {
-			e.sink.PhaseDone(shard, at)
-		}
-	default:
-		if e.sink != nil {
-			e.sink.PhaseStart(shard, at)
-		}
-		if commit := sfn(); commit != nil {
+		if cfn != nil {
+			cfn(a, b, at)
+		} else if commit := pfn(a, b, at); commit != nil {
 			commit()
 		}
 		if e.sink != nil {

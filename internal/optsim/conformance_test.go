@@ -248,31 +248,6 @@ func (r *runner) run() []string {
 	}
 }
 
-// stateCtrl is a speculation controller over a runner's per-shard state: it
-// snapshots a shard at launch and restores it on rollback, the contract
-// charm's controller keeps with PUP images.
-type stateCtrl struct {
-	state, snap                  []int64
-	begun, committed, rolledBack int
-}
-
-func newStateCtrl(state []int64) *stateCtrl {
-	return &stateCtrl{state: state, snap: make([]int64, len(state))}
-}
-
-func (c *stateCtrl) BeginSpec(s int)    { c.snap[s] = c.state[s]; c.begun++ }
-func (c *stateCtrl) CommitSpec(int)     { c.committed++ }
-func (c *stateCtrl) RollbackSpec(s int) { c.state[s] = c.snap[s]; c.rolledBack++ }
-
-// balanced asserts every speculation was either committed or rolled back.
-func (c *stateCtrl) balanced(t *testing.T) {
-	t.Helper()
-	if c.begun != c.committed+c.rolledBack {
-		t.Fatalf("speculation ledger unbalanced: begun %d, committed %d, rolled back %d",
-			c.begun, c.committed, c.rolledBack)
-	}
-}
-
 func FuzzEngineOrder(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},

@@ -1,72 +1,86 @@
-// Package optsim is the optimistic (Time Warp) parallel execution backend
-// for the virtual machine: a des.Engine that speculatively executes event
-// phases beyond any lookahead window, rolls the affected shard back when a
-// straggler arrives in its speculated past, and commits global effects
-// strictly in (timestamp, sequence) order — so every run is bit-for-bit
-// identical to internal/des.Sequential, exactly like the conservative
-// engine of internal/parsim.
+// Package optsim is the parallel engine core of the virtual machine: one
+// des.Engine body that executes event phases on worker goroutines while
+// committing their global effects strictly in (timestamp, sequence) order,
+// so every run is bit-for-bit identical to internal/des.Sequential. Two
+// policies run over the one body: optimistic Time Warp (New, this
+// package's backend) and conservative lookahead (NewConservative, wrapped
+// by internal/parsim).
 //
-// # Why optimism
+// # The body
 //
-// The conservative engine may only run a shard's phase early when the
-// machine's lookahead α proves no earlier event can still reach that shard.
-// On low-α machine models the window admits almost no concurrency even
-// when the workload is embarrassingly parallel in practice (most messages
-// arrive much later than α). Time Warp inverts the bet: run every shard's
-// earliest pending phase now, detect the rare conflicting arrival, and pay
-// for it with a rollback.
+// The engine keeps one global event heap with exactly the sequential
+// engine's ordering, and a single driving goroutine that pops and commits
+// events strictly in that order. Parallelism comes from running event
+// *phases* early: a sharded event's body is split by the runtime into a
+// phase (reads and writes only its shard's state, buffers everything else)
+// and a commit closure (applies the buffered global effects).
 //
-// # Design
+// One launch rule serves both policies. Before every pop, each shard's
+// earliest pending event is handed to a worker if it is a two-phase event
+// (commit-only bodies touch global state and run at their pop), is not the
+// heap top (the driver runs that inline, overlapping the launches),
+// precedes the earliest pending global event, lies within a RunUntil
+// horizon, and lies before the launch limit top+W, where top is the heap
+// top's timestamp and W the policy's window. A per-shard lazy-deletion
+// min-heap tracks the shard minima, so the scan costs O(shards). At most
+// one phase per shard is ever in flight, and never one that follows a
+// pending global, so a global always pops with nothing in flight and may
+// touch every shard.
 //
-// The engine keeps the same single global heap and single driving goroutine
-// as parsim: events pop and commit in exact (at, seq) order, one at a time.
-// What changes is the launch rule and its safety net:
+// The pop loop then proceeds exactly like the sequential engine: take the
+// heap minimum, set the clock to its timestamp, run its commit (waiting
+// for the phase if a worker has it). Events whose phases were never
+// launched run inline on the driver.
 //
-//   - Launch: before every pop, each shard's earliest pending two-phase
-//     event is handed to a worker — regardless of how far its timestamp
-//     lies beyond the heap top (bounded only by the optional optimism
-//     Window). A per-shard lazy-deletion min-heap tracks the shard minima,
-//     so the scan costs O(shards), not O(heap). At most one phase per
-//     shard is ever in flight, and never an event that follows the
-//     earliest pending global event (globals may touch every shard, so by
-//     the time one pops, every speculated phase has already committed and
-//     in-flight count is provably zero — the same solo-global guarantee
-//     the conservative engine enforces with its window).
+// # The two policies
 //
-//   - Straggler detection: phases touch only shard-local state, and shard
-//     state is mutated only by that shard's own commits — so the one way a
-//     speculation can be wrong is a *new* event scheduled into its past.
-//     Every scheduling entry point checks: a shard event earlier than the
-//     shard's in-flight phase, or a global event earlier than any in-flight
-//     phase, triggers a rollback of the affected shard(s) before the new
-//     event is accepted. Where parsim's checkSchedule panics, optsim
-//     recovers.
+// Phases touch only shard-local state, and shard state is mutated only by
+// that shard's own events, so the one way an early phase can be wrong is
+// new work scheduled into its past — a straggler — or a Cancel of it. Every
+// scheduling entry point checks for one. The policies differ in what the
+// window is and what a straggler means:
 //
-//   - Rollback: the engine waits for the phase to finish, discards its
-//     withheld commit closure, and asks the registered Controller to undo
-//     the phase's shard-local mutations (the runtime snapshots dirty chares
-//     with PUP before speculating — see charm's speculation controller).
-//     Because every globally visible effect of a phase — sends, reduction
-//     contributions, statistics — is buffered in the commit closure, which
-//     never ran, cancelling a speculation requires no anti-messages: the
-//     "sent" messages never entered the network. The event stays scheduled
-//     and simply runs again later, possibly inline at its pop.
+//	                   optimistic (New)              conservative (NewConservative)
+//	window W           Options.Window, 0 = unbounded lookahead α, 0 = no early launch
+//	straggler, Cancel  roll the shard back           lookahead-violation panic
+//	Run/RunUntil exit  roll in-flight phases back    withhold their commits
+//	GlobalHorizon      Now()                         max(Now, latest in-flight launch)
 //
-//   - GVT and fossil collection: commits are serialized on the driver in
-//     (at, seq) order, so the Global Virtual Time is exact, not estimated —
-//     it is the timestamp of the last popped event (Now()). When a
-//     speculated event pops and its commit is used, the Controller's
-//     CommitSpec releases the shard's snapshot immediately: fossil
-//     collection is eager because nothing below the commit frontier can
-//     ever be rolled back.
+// Conservative: α is the minimum cross-shard latency of the machine model
+// (the α of the α–β network model). An in-flight phase is its shard's
+// earliest event and lies within α of the frontier, so the only work that
+// could precede it is a same-shard continuation (spawned by its own
+// commit, hence later) or a cross-shard message, which arrives at least α
+// after the frontier. The runtime's latency model guarantees every message
+// path satisfies the bound; a straggler means it did not, and the engine
+// fails loudly rather than silently diverging. Stop withholds the commits
+// of in-flight phases (they apply if a later Run pops the events): global
+// state stops exactly where the sequential engine would, and only the
+// in-flight shards' local state has advanced.
 //
-// Equivalence with the sequential engine is by construction: the pop order,
-// sequence numbering, and commit order are identical, speculation only
-// moves *phase* execution earlier in wall-clock time, and every misordered
-// speculation is undone before its absence could be observed. Run/RunUntil
-// additionally roll back all still-in-flight speculations before
-// returning, so post-run machine state — not just committed output — is
-// bit-identical to the sequential engine's.
+// Optimistic: on low-α machine models the conservative window admits almost
+// no concurrency even when most messages arrive much later than α. Time
+// Warp inverts the bet: launch every shard's earliest phase (bounded only
+// by the optional optimism window), detect the rare straggler, and pay for
+// it with a rollback. Rollback waits for the phase, discards its withheld
+// commit closure and asks the registered Controller to undo the phase's
+// shard-local mutations (charm's speculation controller restores them from
+// PUP images). Every globally visible effect of a phase is buffered in the
+// commit closure, which never ran, so no anti-messages are needed; the
+// event stays scheduled and runs again later. Commits are serialized on the
+// driver in (at, seq) order, so the Global Virtual Time is exact — the
+// timestamp of the last popped event — and CommitSpec releases a shard's
+// snapshot as soon as its speculation commits. Run/RunUntil roll back all
+// still-in-flight speculations before returning, so post-run machine state
+// — not just committed output — is bit-identical to the sequential
+// engine's.
+//
+// # Discipline
+//
+// Phase functions must not call back into the engine — the runtime's
+// context buffering guarantees this for all runtime paths. Commits may
+// schedule freely; under the conservative policy cross-shard and global
+// work must land at least α past the frontier.
 package optsim
 
 import (
@@ -82,22 +96,26 @@ import (
 // Options configures an engine.
 type Options struct {
 	// Shards is the number of shards (virtual nodes). Events carry shard
-	// ids in [0, Shards); ids outside the range are treated as global.
+	// ids in [0, Shards).
 	Shards int
 	// Workers caps the worker goroutines running phases; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Window bounds optimism: phases launch only within [top, top+Window)
-	// of the heap top. Zero means unbounded speculation. A finite window
-	// trades exposed parallelism for rollback risk on workloads whose
-	// cross-shard messages routinely land close to the frontier.
+	// Window is the launch window W: phases launch only within [top,
+	// top+Window) of the heap top. For the optimistic policy it bounds
+	// optimism and zero means unbounded speculation; a finite window trades
+	// exposed parallelism for rollback risk on workloads whose cross-shard
+	// messages routinely land close to the frontier. For the conservative
+	// policy it is the lookahead α and zero disables early launches (every
+	// event runs inline — correct but serial).
 	Window des.Time
 }
 
 // Controller undoes speculative phase execution. The runtime registers one
-// (charm's speculation controller); a nil controller disables speculation
-// entirely — every event runs inline at its pop, which is correct but
-// serial.
+// (charm's speculation controller) on an optimistic engine; without one the
+// optimistic engine never launches phases early — every event runs inline
+// at its pop, which is correct but serial. The conservative policy never
+// rolls back and takes none.
 //
 // All three methods are called from the driving goroutine. BeginSpec(s)
 // runs before the phase is handed to a worker (the worker observes it
@@ -110,13 +128,12 @@ type Controller interface {
 	RollbackSpec(shard int)
 }
 
-// event mirrors parsim's event form: shard binding plus pipeline state.
+// event is one scheduled event with its shard binding and pipeline state.
 type event struct {
 	at    des.Time
-	fn    func()        // global body (shard < 0)
-	sfn   func() func() // sharded two-phase body (closure form)
-	pfn   des.PhaseFn   // sharded two-phase body (preallocated form)
-	cfn   des.CommitFn  // sharded commit-only body (never launched early)
+	fn    func()       // global body (shard < 0)
+	pfn   des.PhaseFn  // sharded two-phase body
+	cfn   des.CommitFn // sharded commit-only body (never launched early)
 	a     any
 	b     int64
 	seq   uint64
@@ -137,13 +154,8 @@ func (ev *event) Live() bool { return ev.pos >= 0 }
 
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return precedes(h[i], h[j]) }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].pos = i
@@ -177,8 +189,7 @@ func precedes(a, b *event) bool {
 // deletion: events that left the global heap (pos < 0 — popped or
 // cancelled) are discarded when they surface at the top. The engine keeps
 // one per shard (tracking each shard's earliest pending event) and one for
-// globals, replacing parsim's window-bounded scan of the global heap —
-// unbounded optimism has no window to bound such a scan with.
+// globals, so the launch scan never walks the global heap.
 type lazyHeap []*event
 
 func (h *lazyHeap) push(ev *event) {
@@ -232,9 +243,9 @@ func (h *lazyHeap) peek() *event {
 	return nil
 }
 
-// Engine is the optimistic parallel event executor. It satisfies
-// des.Engine. Its methods must be called from the driving goroutine (or
-// from an event's commit) — the parallelism is internal.
+// Engine is the parallel event executor. It satisfies des.Engine. Its
+// methods must be called from the driving goroutine (or from an event's
+// commit) — the parallelism is internal.
 type Engine struct {
 	now      des.Time
 	seq      uint64
@@ -242,15 +253,16 @@ type Engine struct {
 	stopped  bool
 	executed uint64
 
-	window  des.Time
-	workers int
-	ctrl    Controller
+	conservative bool     // the policy; see the package comment's table
+	window       des.Time // W: the optimism window or the lookahead
+	workers      int
+	ctrl         Controller
 
 	// Worker pool, alive only while Run/RunUntil executes.
 	jobs   chan *event
 	poolWG sync.WaitGroup
 
-	// In-flight speculation tracking, owned by the driver.
+	// In-flight phase tracking, owned by the driver.
 	launchedOn []*event // per shard: the launched, not-yet-popped event
 	inFlight   int      // count of launched, not-yet-popped events
 
@@ -300,36 +312,40 @@ func (s Stats) RollbackRatio() float64 {
 func (e *Engine) EngineStats() Stats { return e.stats }
 
 // SetController installs the speculation undo controller. Without one the
-// engine never launches phases early.
+// optimistic engine never launches phases early.
 func (e *Engine) SetController(c Controller) { e.ctrl = c }
 
-// SetWindow replaces the optimism window (0 = unbounded). Driver-context
-// only: launch eligibility reads the window fresh on every pop, so the
-// change takes effect deterministically at the next launch decision —
-// callers adjusting it from commit closures or Controller callbacks (which
-// run on the driving goroutine) keep runs bit-identical across worker
-// counts.
+// SetWindow replaces the launch window (optimistic: 0 = unbounded).
+// Driver-context only: launch eligibility reads the window fresh on every
+// pop, so the change takes effect deterministically at the next launch
+// decision — callers adjusting it from commit closures or Controller
+// callbacks (which run on the driving goroutine) keep runs bit-identical
+// across worker counts.
 func (e *Engine) SetWindow(w des.Time) { e.window = w }
 
-// Window reports the current optimism window (0 = unbounded).
+// Window reports the current launch window (optimistic: 0 = unbounded).
 func (e *Engine) Window() des.Time { return e.window }
 
 // SetTraceSink installs (or, with nil, removes) the engine's phase-event
 // sink. PhaseStart/PhaseDone are called only from the driving goroutine at
 // the pop of each sharded event — the same positions, in the same total
-// order, as the sequential engine. A sink that additionally implements
-// des.SpecSink also receives speculation-pipeline events (launch, commit,
-// rollback), which exist only on this backend.
+// order, as the sequential engine. Under the optimistic policy a sink that
+// additionally implements des.SpecSink also receives speculation-pipeline
+// events (launch, commit, rollback); the conservative policy never
+// speculates and reports none.
 func (e *Engine) SetTraceSink(s des.TraceSink) {
 	e.sink = s
-	e.ssink, _ = s.(des.SpecSink)
+	e.ssink = nil
+	if !e.conservative {
+		e.ssink, _ = s.(des.SpecSink)
+	}
 }
 
 // SetProbe installs (or, with nil, removes) the engine's wall-clock
 // telemetry probe (internal/telemetry). Strictly side-band: the probe
-// observes speculation latency, rollback wall cost, and GVT lag, and
-// nothing it returns influences scheduling. The zero-probe path is a nil
-// check.
+// observes launch latency, driver stalls, window stalls (conservative) and
+// rollback cost and GVT lag (optimistic), and nothing it returns
+// influences scheduling. The zero-probe path is a nil check.
 func (e *Engine) SetProbe(p des.Probe) { e.probe = p }
 
 // GVT returns the Global Virtual Time: the commit frontier below which no
@@ -339,12 +355,24 @@ func (e *Engine) SetProbe(p des.Probe) { e.probe = p }
 func (e *Engine) GVT() des.Time { return e.now }
 
 // GlobalHorizon reports the safe scheduling horizon for global events.
-// Optimistic execution makes every instant safe: a global scheduled into a
-// speculation's past triggers a rollback instead of a violation, so the
-// horizon is simply Now() — exactly the sequential engine's answer, which
-// keeps fault-recovery timing (chaos schedules its rollbacks at the
-// horizon) bit-identical across the sequential and optimistic backends.
-func (e *Engine) GlobalHorizon() des.Time { return e.now }
+// Under the optimistic policy every instant is safe — a global scheduled
+// into a speculation's past rolls it back — so the horizon is Now(),
+// exactly the sequential engine's answer, which keeps fault-recovery
+// timing (chaos schedules its rollbacks at the horizon) bit-identical
+// across the sequential and optimistic backends. Under the conservative
+// policy it is the latest in-flight launch, or Now() if later: a global
+// scheduled there never precedes a phase that could have observed it.
+func (e *Engine) GlobalHorizon() des.Time {
+	h := e.now
+	if e.conservative {
+		for _, le := range e.launchedOn {
+			if le != nil && le.at > h {
+				h = le.at
+			}
+		}
+	}
+	return h
+}
 
 // RegisterMetrics exposes the engine's speculation counters through a
 // metrics registry.
@@ -374,8 +402,16 @@ func (e *Engine) gvtLag() des.Time {
 	return lag
 }
 
-// New returns an optimistic engine with the clock at zero.
-func New(opts Options) *Engine {
+// New returns an engine under the optimistic policy with the clock at
+// zero.
+func New(opts Options) *Engine { return newEngine(opts, false) }
+
+// NewConservative returns an engine under the conservative policy with the
+// clock at zero: opts.Window is the lookahead α, no controller is taken, a
+// straggler panics, and Run exit withholds in-flight commits.
+func NewConservative(opts Options) *Engine { return newEngine(opts, true) }
+
+func newEngine(opts Options, conservative bool) *Engine {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -385,11 +421,20 @@ func New(opts Options) *Engine {
 		shards = 1
 	}
 	return &Engine{
-		window:     opts.Window,
-		workers:    w,
-		launchedOn: make([]*event, shards),
-		shardQ:     make([]lazyHeap, shards),
+		conservative: conservative,
+		window:       opts.Window,
+		workers:      w,
+		launchedOn:   make([]*event, shards),
+		shardQ:       make([]lazyHeap, shards),
 	}
+}
+
+// name prefixes the engine's panic messages with its backend.
+func (e *Engine) name() string {
+	if e.conservative {
+		return "parsim"
+	}
+	return "optsim"
 }
 
 // Now returns the current virtual time (the exact GVT).
@@ -401,100 +446,78 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // Executed counts events that have run.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// preSchedule is the straggler/anti-message detector, run before every
-// event insertion: new work scheduled into the past of an in-flight
-// speculation invalidates it. A same-timestamp arrival is not a straggler —
-// the new event's larger sequence number orders it after the speculation.
-func (e *Engine) preSchedule(shard int, t des.Time) {
-	if shard < 0 {
-		if e.inFlight > 0 {
-			for s, le := range e.launchedOn {
-				if le != nil && t < le.at {
-					e.rollback(s)
-				}
+// schedule answers the straggler ev may be, then inserts it into the
+// global heap and its shard's (or the globals') minima heap. A
+// same-timestamp arrival is not a straggler: the new event's larger
+// sequence number orders it after the in-flight phase.
+func (e *Engine) schedule(ev *event) des.Handle {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("%s: scheduling event at %v before now %v", e.name(), ev.at, e.now))
+	}
+	if ev.shard >= 0 {
+		if le := e.launchedOn[ev.shard]; le != nil && ev.at < le.at {
+			e.rollback(ev.shard, "shard event", ev.at)
+		}
+	} else if e.inFlight > 0 {
+		for s, le := range e.launchedOn {
+			if le != nil && ev.at < le.at {
+				e.rollback(s, "global event", ev.at)
 			}
 		}
-		return
 	}
-	if le := e.launchedOn[shard]; le != nil && t < le.at {
-		e.rollback(shard)
-	}
-}
-
-// schedule inserts a fully formed event into the global heap and, for
-// shard events, the shard's minima heap.
-func (e *Engine) schedule(ev *event) des.Handle {
+	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.heap, ev)
 	if ev.shard >= 0 {
 		e.shardQ[ev.shard].push(ev)
 	} else {
 		e.globals.push(ev)
 	}
+	heap.Push(&e.heap, ev)
 	return des.HandleFor(ev)
 }
 
 // At schedules fn as a global event: it runs alone on the driver, with no
 // phases in flight.
 func (e *Engine) At(t des.Time, fn func()) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("optsim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.preSchedule(-1, t)
-	return e.schedule(&event{at: t, fn: fn, seq: e.seq, shard: -1})
+	return e.schedule(&event{at: t, fn: fn, shard: -1})
 }
 
 func (e *Engine) checkShard(shard int) {
 	if shard < 0 || shard >= len(e.launchedOn) {
-		panic(fmt.Sprintf("optsim: shard %d out of range [0,%d)", shard, len(e.launchedOn)))
+		panic(fmt.Sprintf("%s: shard %d out of range [0,%d)", e.name(), shard, len(e.launchedOn)))
 	}
 }
 
-// AtShard schedules a two-phase event on a shard.
-func (e *Engine) AtShard(shard int, t des.Time, fn func() func()) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("optsim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.checkShard(shard)
-	e.preSchedule(shard, t)
-	return e.schedule(&event{at: t, sfn: fn, seq: e.seq, shard: shard})
-}
-
-// AtShardFn schedules a two-phase event from a preallocated PhaseFn.
+// AtShardFn schedules a two-phase event on a shard from a preallocated
+// PhaseFn.
 func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("optsim: scheduling event at %v before now %v", t, e.now))
-	}
 	e.checkShard(shard)
-	e.preSchedule(shard, t)
-	return e.schedule(&event{at: t, pfn: fn, a: a, b: b, seq: e.seq, shard: shard})
+	return e.schedule(&event{at: t, pfn: fn, a: a, b: b, shard: shard})
 }
 
 // AtShardCommit schedules a sharded event whose entire body runs at commit
-// position on the driver. It participates in shard ordering (and straggler
-// detection: an arrival in a speculation's past rolls the shard back) but
-// is never handed to a worker.
+// position on the driver. It participates in shard ordering (the launch
+// scan never runs a later same-shard phase past it, and an arrival in an
+// in-flight phase's past is a straggler) but is never handed to a worker:
+// its body may touch global state, exactly like any commit.
 func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("optsim: scheduling event at %v before now %v", t, e.now))
-	}
 	e.checkShard(shard)
-	e.preSchedule(shard, t)
-	return e.schedule(&event{at: t, cfn: fn, a: a, b: b, seq: e.seq, shard: shard})
+	return e.schedule(&event{at: t, cfn: fn, a: a, b: b, shard: shard})
 }
 
 // After schedules fn to run d seconds from now as a global event.
 func (e *Engine) After(d des.Time, fn func()) des.Handle {
 	if d < 0 {
-		panic(fmt.Sprintf("optsim: negative delay %v", d))
+		panic(fmt.Sprintf("%s: negative delay %v", e.name(), d))
 	}
 	return e.At(e.now+d, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an event whose phase is
-// speculatively in flight rolls the speculation back first — unlike the
-// conservative engine, a late cancellation is an ordinary straggler here,
-// not a protocol violation.
+// Cancel removes a scheduled event. Cancelling an event whose phase is in
+// flight is a straggler: the optimistic policy rolls the phase back first,
+// the conservative one panics (the cancellation arrived later than the
+// lookahead promised possible). Cancelling an already-fired or
+// already-cancelled event is a no-op.
 func (e *Engine) Cancel(h des.Handle) {
 	ref := h.EventRef()
 	if ref == nil {
@@ -502,13 +525,13 @@ func (e *Engine) Cancel(h des.Handle) {
 	}
 	ev, ok := ref.(*event)
 	if !ok {
-		panic("optsim: Cancel of a handle from a different engine")
+		panic(e.name() + ": Cancel of a handle from a different engine")
 	}
 	if ev.pos < 0 {
 		return
 	}
 	if ev.launched {
-		e.rollback(ev.shard)
+		e.rollback(ev.shard, "Cancel", e.now)
 	}
 	heap.Remove(&e.heap, ev.pos)
 }
@@ -516,10 +539,11 @@ func (e *Engine) Cancel(h des.Handle) {
 // Stop makes Run return before the next pop.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run executes events until the queue drains or Stop is called. Before
-// returning, every still-in-flight speculation is rolled back, so the
-// machine state Run leaves behind is exactly the sequential engine's state
-// at the same stop point — shard-local state included.
+// Run executes events until the queue drains or Stop is called, then ends
+// the in-flight phases as the policy says: rolled back (optimistic), so
+// the machine state Run leaves behind is exactly the sequential engine's
+// at the same stop point, or withheld (conservative), to commit if a later
+// Run pops them.
 func (e *Engine) Run() {
 	e.stopped = false
 	defer e.shutdownPool()
@@ -530,8 +554,7 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
-// to t (if it is ahead of the last event). Like Run, it rolls back any
-// remaining speculations before returning.
+// to t (if it is ahead of the last event). In-flight phases end as in Run.
 func (e *Engine) RunUntil(t des.Time) {
 	e.stopped = false
 	defer e.shutdownPool()
@@ -544,8 +567,8 @@ func (e *Engine) RunUntil(t des.Time) {
 	}
 }
 
-// step launches eligible speculations, then pops and commits the next
-// event in heap order. horizon (inclusive) bounds execution for RunUntil.
+// step launches eligible phases, then pops and commits the next event in
+// heap order. horizon (inclusive) bounds execution for RunUntil.
 func (e *Engine) step(horizon des.Time) {
 	e.launch(horizon)
 	ev := heap.Pop(&e.heap).(*event)
@@ -553,13 +576,12 @@ func (e *Engine) step(horizon des.Time) {
 	e.executed++
 
 	if ev.shard < 0 {
-		// The launch rule never speculates past the earliest pending
-		// global, and preSchedule rolls back speculations that a later-
-		// scheduled global would precede — so a popping global always
-		// finds zero phases in flight, exactly like parsim.
+		// The launch rule never runs a phase past the earliest pending
+		// global, and schedule answers globals that a later one would
+		// precede — so a popping global always finds zero phases in flight.
 		if e.inFlight > 0 {
 			e.drainLaunched()
-			panic(fmt.Sprintf("optsim: internal: global event at t=%v popped with %d speculations in flight", ev.at, e.inFlight))
+			panic(fmt.Sprintf("%s: internal: global event at t=%v popped with %d phases in flight", e.name(), ev.at, e.inFlight))
 		}
 		e.stats.Global++
 		ev.fn()
@@ -574,10 +596,10 @@ func (e *Engine) step(horizon des.Time) {
 	}
 	var commit func()
 	var stallNs int64
-	speculated := ev.launched
-	if speculated {
+	launched := ev.launched
+	if launched {
 		if e.launchedOn[ev.shard] != ev {
-			panic("optsim: internal: popped a launched event that is not its shard's in-flight speculation")
+			panic(e.name() + ": internal: popped a launched event that is not its shard's in-flight phase")
 		}
 		e.launchedOn[ev.shard] = nil
 		e.inFlight--
@@ -599,22 +621,19 @@ func (e *Engine) step(horizon des.Time) {
 		commit = ev.commit
 	} else {
 		if e.launchedOn[ev.shard] != nil {
-			panic("optsim: internal: shard event popped past its in-flight speculation")
+			panic(e.name() + ": internal: shard event popped past its in-flight phase")
 		}
 		e.stats.Inline++
-		switch {
-		case ev.cfn != nil:
+		if ev.cfn != nil {
 			ev.cfn(ev.a, ev.b, ev.at)
-		case ev.pfn != nil:
+		} else {
 			commit = ev.pfn(ev.a, ev.b, ev.at)
-		default:
-			commit = ev.sfn()
 		}
 	}
 	if commit != nil {
 		commit()
 	}
-	if speculated {
+	if launched {
 		// Fossil collection: the commit frontier passed this speculation,
 		// so its snapshot can never be needed again.
 		if e.ctrl != nil {
@@ -628,24 +647,27 @@ func (e *Engine) step(horizon des.Time) {
 		e.sink.PhaseDone(ev.shard, ev.at)
 	}
 	if e.probe != nil {
-		if speculated {
-			e.probe.PhaseWall(ev.shard, ev.at, e.probe.WallNow()-ev.launchNs, stallNs, true)
+		if launched {
+			e.probe.PhaseWall(ev.shard, ev.at, e.probe.WallNow()-ev.launchNs, stallNs, !e.conservative)
 		}
 		e.probe.EventExecuted(ev.shard, ev.at, len(e.heap))
 	}
 }
 
-// launch hands every eligible shard minimum to the worker pool: not a
-// commit-only body, not the heap top (the driver runs that inline and
-// overlaps with the launches), not at or past the earliest pending global,
-// and within the optimism window when one is configured.
+// launch applies the launch rule (see the package comment) to every shard
+// with nothing in flight.
 func (e *Engine) launch(horizon des.Time) {
-	if e.ctrl == nil || len(e.launchedOn) < 2 || len(e.heap) < 2 {
+	if len(e.launchedOn) < 2 || len(e.heap) < 2 {
 		return
 	}
 	top := e.heap[0]
 	limit := des.Forever
-	if e.window > 0 {
+	switch {
+	case e.conservative && e.window <= 0:
+		return // no lookahead: nothing may run early
+	case !e.conservative && e.ctrl == nil:
+		return // nothing could undo a speculation
+	case e.window > 0:
 		limit = top.at + e.window
 	}
 	minGlobal := e.globals.peek()
@@ -665,19 +687,26 @@ func (e *Engine) launch(horizon des.Time) {
 		}
 		e.launchEvent(ev)
 	}
+	if e.conservative && e.inFlight == 0 && e.probe != nil {
+		// The heap held work beyond the top but nothing could overlap the
+		// coming pop: the lookahead window stalled the pipeline this step.
+		e.probe.WindowStall(top.at)
+	}
 }
 
-// launchEvent hands one event's phase to the worker pool as a speculation.
+// launchEvent hands one event's phase to the worker pool.
 func (e *Engine) launchEvent(ev *event) {
 	if e.jobs == nil {
 		e.jobs = make(chan *event, len(e.launchedOn))
 		for w := 0; w < e.workers; w++ {
 			e.poolWG.Add(1)
-			//charmvet:parsim (speculative phase workers execute shard-disjoint events; misspeculations are rolled back)
+			//charmvet:parsim (phase workers execute shard-disjoint events; a straggler rolls back or panics)
 			go e.worker()
 		}
 	}
-	e.ctrl.BeginSpec(ev.shard)
+	if e.ctrl != nil {
+		e.ctrl.BeginSpec(ev.shard)
+	}
 	ev.launched = true
 	ev.done = make(chan struct{})
 	e.launchedOn[ev.shard] = ev
@@ -694,18 +723,26 @@ func (e *Engine) launchEvent(ev *event) {
 	}
 	if e.probe != nil {
 		ev.launchNs = e.probe.WallNow()
-		e.probe.SpecLaunched(ev.shard, ev.at, ev.at-e.now)
+		if !e.conservative {
+			e.probe.SpecLaunched(ev.shard, ev.at, ev.at-e.now)
+		}
 	}
 	e.jobs <- ev
 }
 
-// rollback undoes shard s's in-flight speculation: wait for the phase,
-// discard its withheld commit (the speculative sends it buffered never
-// entered the network — dropping the closure is the anti-message), and let
-// the controller restore the shard-local state the phase mutated. The
-// event itself stays scheduled and runs again at or before its pop.
-func (e *Engine) rollback(s int) {
+// rollback undoes shard s's in-flight phase because what (at t) reached
+// its past: wait for the phase, discard its withheld commit (the sends it
+// buffered never entered the network — dropping the closure is the
+// anti-message), and let the controller restore the shard-local state the
+// phase mutated. The event itself stays scheduled and runs again at or
+// before its pop. Under the conservative policy the lookahead promised
+// this impossible, so it panics instead.
+func (e *Engine) rollback(s int, what string, t des.Time) {
 	ev := e.launchedOn[s]
+	if e.conservative {
+		panic(fmt.Sprintf("parsim: lookahead violation: %s at t=%v reached shard %d's in-flight phase at t=%v",
+			what, t, s, ev.at))
+	}
 	var waitNs int64
 	if e.probe != nil {
 		t0 := e.probe.WallNow()
@@ -730,11 +767,15 @@ func (e *Engine) rollback(s int) {
 	}
 }
 
-// rollbackAll undoes every in-flight speculation (run exit, Stop).
+// rollbackAll undoes every in-flight speculation at run exit; the
+// conservative policy withholds them instead.
 func (e *Engine) rollbackAll() {
+	if e.conservative {
+		return
+	}
 	for s, le := range e.launchedOn {
 		if le != nil {
-			e.rollback(s)
+			e.rollback(s, "run exit", e.now)
 		}
 	}
 }
@@ -758,15 +799,11 @@ func runPhase(ev *event) {
 			ev.pval, ev.panicked = r, true
 		}
 	}()
-	if ev.pfn != nil {
-		ev.commit = ev.pfn(ev.a, ev.b, ev.at)
-		return
-	}
-	ev.commit = ev.sfn()
+	ev.commit = ev.pfn(ev.a, ev.b, ev.at)
 }
 
-// drainLaunched waits for every in-flight phase (panic path only; normal
-// exits roll them back instead).
+// drainLaunched waits for every in-flight phase; their cached commits stay
+// attached to their (still-pending) events.
 func (e *Engine) drainLaunched() {
 	for _, ev := range e.heap {
 		if ev != nil && ev.launched {

@@ -1,4 +1,4 @@
-package optsim
+package optsim_test
 
 import (
 	"fmt"
@@ -7,31 +7,37 @@ import (
 	"time"
 
 	"charmgo/internal/des"
+	"charmgo/internal/optsim"
+	"charmgo/internal/parsim"
 )
 
-// sliceCtrl is a minimal speculation controller for engine-level tests:
+// atShard schedules a one-off two-phase closure through des.ClosurePhase.
+func atShard(e des.Engine, shard int, t des.Time, fn func() func()) des.Handle {
+	return e.AtShardFn(shard, t, des.ClosurePhase, fn, 0)
+}
+
+// stateCtrl is a minimal speculation controller for engine-level tests:
 // the "shard state" is one int64 per shard, snapshotted at BeginSpec and
 // restored at RollbackSpec — the same contract charm's controller honours
-// with PUP snapshots of dirty chares.
-type sliceCtrl struct {
-	state []int64
-	snap  []int64
+// with PUP images.
+type stateCtrl struct {
+	state, snap []int64
 
 	begun      int
 	committed  int
 	rolledBack int
 }
 
-func newSliceCtrl(shards int) *sliceCtrl {
-	return &sliceCtrl{state: make([]int64, shards), snap: make([]int64, shards)}
+func newStateCtrl(state []int64) *stateCtrl {
+	return &stateCtrl{state: state, snap: make([]int64, len(state))}
 }
 
-func (c *sliceCtrl) BeginSpec(s int)    { c.snap[s] = c.state[s]; c.begun++ }
-func (c *sliceCtrl) CommitSpec(s int)   { c.committed++ }
-func (c *sliceCtrl) RollbackSpec(s int) { c.state[s] = c.snap[s]; c.rolledBack++ }
+func (c *stateCtrl) BeginSpec(s int)    { c.snap[s] = c.state[s]; c.begun++ }
+func (c *stateCtrl) CommitSpec(int)     { c.committed++ }
+func (c *stateCtrl) RollbackSpec(s int) { c.state[s] = c.snap[s]; c.rolledBack++ }
 
 // balanced asserts every speculation was either committed or rolled back.
-func (c *sliceCtrl) balanced(t *testing.T) {
+func (c *stateCtrl) balanced(t *testing.T) {
 	t.Helper()
 	if c.begun != c.committed+c.rolledBack {
 		t.Fatalf("speculation ledger unbalanced: begun %d, committed %d, rolled back %d",
@@ -39,34 +45,110 @@ func (c *sliceCtrl) balanced(t *testing.T) {
 	}
 }
 
-func mkEngine(shards, workers int) (*Engine, *sliceCtrl) {
-	e := New(Options{Shards: shards, Workers: workers})
-	c := newSliceCtrl(shards)
+func mkEngine(shards, workers int) (*optsim.Engine, *stateCtrl) {
+	e := optsim.New(optsim.Options{Shards: shards, Workers: workers})
+	c := newStateCtrl(make([]int64, shards))
 	e.SetController(c)
 	return e, c
 }
 
+// policies builds an engine under each policy of the shared core, for the
+// tests both policies keep: the conservative one with a lookahead of 1.0
+// (wide enough that admission is governed purely by the tests' chosen
+// timestamps), the optimistic one with a state-restoring controller whose
+// ledger check is the policy's post-run assertion.
+var policies = []struct {
+	name string
+	new  func(shards, workers int) (des.Engine, func(*testing.T))
+}{
+	{"conservative", func(shards, workers int) (des.Engine, func(*testing.T)) {
+		return parsim.New(parsim.Options{Lookahead: 1.0, Shards: shards, Workers: workers}), func(*testing.T) {}
+	}},
+	{"optimistic", func(shards, workers int) (des.Engine, func(*testing.T)) {
+		e, c := mkEngine(shards, workers)
+		return e, c.balanced
+	}},
+}
+
 // TestCommitOrderMatchesSequential: commits land in (timestamp, seq) heap
-// order regardless of which phases were speculated or when they finished.
+// order regardless of which phases ran early or when they finished.
 func TestCommitOrderMatchesSequential(t *testing.T) {
-	e, c := mkEngine(4, 4)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.AtShard(i, 0.1+0.01*des.Time(i), func() func() {
-			return func() { order = append(order, i) }
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			e, check := p.new(4, 4)
+			var order []int
+			for i := 0; i < 4; i++ {
+				i := i
+				atShard(e, i, 0.1+0.01*des.Time(i), func() func() {
+					return func() { order = append(order, i) }
+				})
+			}
+			e.Run()
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("commit order %v, want shards in timestamp order", order)
+				}
+			}
+			if e.Executed() != 4 {
+				t.Fatalf("executed %d, want 4", e.Executed())
+			}
+			check(t)
 		})
 	}
-	e.Run()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("commit order %v, want shards in timestamp order", order)
-		}
+}
+
+// TestRunUntil bounds execution by the horizon (nothing launches past it)
+// and advances the clock.
+func TestRunUntil(t *testing.T) {
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			e, check := p.new(2, 2)
+			var ran []des.Time
+			for _, at := range []des.Time{0.1, 0.2, 0.9} {
+				at := at
+				atShard(e, int(at*10)%2, at, func() func() {
+					return func() { ran = append(ran, at) }
+				})
+			}
+			e.RunUntil(0.5)
+			if len(ran) != 2 {
+				t.Fatalf("ran %v, want the two events <= 0.5", ran)
+			}
+			if e.Now() != 0.5 {
+				t.Fatalf("clock %v, want 0.5", e.Now())
+			}
+			e.RunUntil(1.0)
+			if len(ran) != 3 || e.Now() != 1.0 {
+				t.Fatalf("ran %v now %v, want all three events and now=1.0", ran, e.Now())
+			}
+			check(t)
+		})
 	}
-	if e.Executed() != 4 {
-		t.Fatalf("executed %d, want 4", e.Executed())
+}
+
+// TestPhasePanicPropagatesDeterministically: the first panicking event in
+// heap order is the one re-raised, regardless of worker interleaving.
+func TestPhasePanicPropagatesDeterministically(t *testing.T) {
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			e, _ := p.new(4, 4)
+			for i := 0; i < 4; i++ {
+				i := i
+				atShard(e, i, 0.1+0.001*des.Time(i), func() func() {
+					if i >= 1 {
+						panic(i)
+					}
+					return nil
+				})
+			}
+			defer func() {
+				if r := recover(); r != 1 {
+					t.Fatalf("recovered %v, want panic value 1 (lowest panicking event)", r)
+				}
+			}()
+			e.Run()
+		})
 	}
-	c.balanced(t)
 }
 
 // TestSpeculatesPastAnyWindow: the whole point of optimism — a phase five
@@ -75,7 +157,7 @@ func TestCommitOrderMatchesSequential(t *testing.T) {
 func TestSpeculatesPastAnyWindow(t *testing.T) {
 	e, _ := mkEngine(2, 2)
 	peerStarted := make(chan struct{})
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		select {
 		case <-peerStarted: // the speculated far-future phase already ran
 		case <-time.After(5 * time.Second):
@@ -83,12 +165,12 @@ func TestSpeculatesPastAnyWindow(t *testing.T) {
 		}
 		return nil
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		close(peerStarted)
 		return nil
 	})
 	e.Run()
-	if e.stats.Launched == 0 {
+	if e.EngineStats().Launched == 0 {
 		t.Fatal("no speculative launch recorded")
 	}
 }
@@ -96,34 +178,34 @@ func TestSpeculatesPastAnyWindow(t *testing.T) {
 // TestWindowBoundsOptimism: with a finite Window the far-future phase is
 // not speculated.
 func TestWindowBoundsOptimism(t *testing.T) {
-	e := New(Options{Shards: 2, Workers: 2, Window: 1.0})
-	e.SetController(newSliceCtrl(2))
-	e.AtShard(0, 0.1, func() func() { return nil })
-	e.AtShard(1, 5.0, func() func() { return nil })
+	e := optsim.New(optsim.Options{Shards: 2, Workers: 2, Window: 1.0})
+	e.SetController(newStateCtrl(make([]int64, 2)))
+	atShard(e, 0, 0.1, func() func() { return nil })
+	atShard(e, 1, 5.0, func() func() { return nil })
 	e.Run()
-	if e.stats.Launched != 0 {
-		t.Fatalf("launched %d speculations past a 1.0 window", e.stats.Launched)
+	if e.EngineStats().Launched != 0 {
+		t.Fatalf("launched %d speculations past a 1.0 window", e.EngineStats().Launched)
 	}
 }
 
 // TestStragglerRollback: shard 1 speculates at t=5.0; shard 0's commit then
-// schedules shard-1 work at t=1.0 — a straggler. Where parsim panics, the
+// schedules shard-1 work at t=1.0 — a straggler. Where the conservative policy panics, the
 // optimistic engine rolls shard 1 back (restoring its state), runs the
 // straggler, and re-executes the 5.0 event, committing in sequential order.
 func TestStragglerRollback(t *testing.T) {
 	e, c := mkEngine(2, 2)
 	c.state[1] = 10
 	var order []string
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			order = append(order, "A")
-			e.AtShard(1, 1.0, func() func() {
+			atShard(e, 1, 1.0, func() func() {
 				c.state[1] += 5
 				return func() { order = append(order, fmt.Sprintf("S=%d", c.state[1])) }
 			})
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		return func() { order = append(order, fmt.Sprintf("B=%d", c.state[1])) }
 	})
@@ -142,8 +224,8 @@ func TestStragglerRollback(t *testing.T) {
 	if c.rolledBack != 1 {
 		t.Fatalf("rolled back %d speculations, want 1", c.rolledBack)
 	}
-	if e.stats.RolledBack != 1 || e.stats.Launched != 1 {
-		t.Fatalf("stats %+v, want Launched=1 RolledBack=1", e.stats)
+	if e.EngineStats().RolledBack != 1 || e.EngineStats().Launched != 1 {
+		t.Fatalf("stats %+v, want Launched=1 RolledBack=1", e.EngineStats())
 	}
 	c.balanced(t)
 }
@@ -153,15 +235,15 @@ func TestStragglerRollback(t *testing.T) {
 func TestSameTimestampIsNotAStraggler(t *testing.T) {
 	e, c := mkEngine(2, 2)
 	var order []string
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			order = append(order, "A")
-			e.AtShard(1, 5.0, func() func() {
+			atShard(e, 1, 5.0, func() func() {
 				return func() { order = append(order, "C") }
 			})
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		return func() { order = append(order, "B") }
 	})
 	e.Run()
@@ -182,17 +264,17 @@ func TestSameTimestampIsNotAStraggler(t *testing.T) {
 func TestGlobalStragglerRollsBackLaterSpeculations(t *testing.T) {
 	e, c := mkEngine(3, 3)
 	var order []string
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			order = append(order, "A")
 			e.At(1.0, func() { order = append(order, "g") })
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		return func() { order = append(order, "B") }
 	})
-	e.AtShard(2, 6.0, func() func() {
+	atShard(e, 2, 6.0, func() func() {
 		c.state[2]++
 		return func() { order = append(order, "C") }
 	})
@@ -213,17 +295,17 @@ func TestGlobalStragglerRollsBackLaterSpeculations(t *testing.T) {
 }
 
 // TestCancelInFlightRollsBack: cancelling a speculated event is an
-// ordinary straggler here (parsim panics): the speculation is undone and
+// ordinary straggler here (the conservative policy panics): the speculation is undone and
 // the event never commits.
 func TestCancelInFlightRollsBack(t *testing.T) {
 	e, c := mkEngine(2, 2)
 	var fired bool
-	h := e.AtShard(1, 5.0, func() func() {
+	h := atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		fired = true
 		return func() { t.Error("cancelled event's commit ran") }
 	})
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() { e.Cancel(h) }
 	})
 	e.Run()
@@ -246,13 +328,13 @@ func TestCancelInFlightRollsBack(t *testing.T) {
 func TestStopRollsBackInFlight(t *testing.T) {
 	e, c := mkEngine(2, 2)
 	var committed []int
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			committed = append(committed, 0)
 			e.Stop()
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		return func() { committed = append(committed, 1) }
 	})
@@ -273,52 +355,6 @@ func TestStopRollsBackInFlight(t *testing.T) {
 	c.balanced(t)
 }
 
-// TestRunUntil bounds execution by the horizon (no speculation past it)
-// and advances the clock.
-func TestRunUntil(t *testing.T) {
-	e, c := mkEngine(2, 2)
-	var ran []des.Time
-	for _, at := range []des.Time{0.1, 0.2, 0.9} {
-		at := at
-		e.AtShard(int(at*10)%2, at, func() func() {
-			return func() { ran = append(ran, at) }
-		})
-	}
-	e.RunUntil(0.5)
-	if len(ran) != 2 {
-		t.Fatalf("ran %v, want the two events <= 0.5", ran)
-	}
-	if e.Now() != 0.5 {
-		t.Fatalf("clock %v, want 0.5", e.Now())
-	}
-	e.RunUntil(1.0)
-	if len(ran) != 3 || e.Now() != 1.0 {
-		t.Fatalf("ran %v now %v, want all three events and now=1.0", ran, e.Now())
-	}
-	c.balanced(t)
-}
-
-// TestPhasePanicPropagatesDeterministically: the first panicking event in
-// heap order is the one re-raised, regardless of worker interleaving.
-func TestPhasePanicPropagatesDeterministically(t *testing.T) {
-	e, _ := mkEngine(4, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		e.AtShard(i, 0.1+0.001*des.Time(i), func() func() {
-			if i >= 1 {
-				panic(i)
-			}
-			return nil
-		})
-	}
-	defer func() {
-		if r := recover(); r != 1 {
-			t.Fatalf("recovered %v, want panic value 1 (lowest panicking event)", r)
-		}
-	}()
-	e.Run()
-}
-
 // TestStragglerDiscardsSpeculativePanic: a speculation that panicked is
 // rolled back by a straggler before its pop; the re-execution succeeds, so
 // the panic never surfaces — exactly what the sequential engine, which
@@ -327,15 +363,15 @@ func TestStragglerDiscardsSpeculativePanic(t *testing.T) {
 	e, c := mkEngine(2, 2)
 	var attempts atomic.Int64
 	var order []string
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			order = append(order, "A")
-			e.AtShard(1, 1.0, func() func() {
+			atShard(e, 1, 1.0, func() func() {
 				return func() { order = append(order, "S") }
 			})
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		if attempts.Add(1) == 1 {
 			panic("speculative execution saw pre-straggler state")
 		}
@@ -362,10 +398,10 @@ func TestStragglerDiscardsSpeculativePanic(t *testing.T) {
 func TestGlobalHorizonIsNow(t *testing.T) {
 	e, _ := mkEngine(2, 2)
 	var horizon des.Time = -1
-	e.AtShard(0, 0.25, func() func() {
+	atShard(e, 0, 0.25, func() func() {
 		return func() { horizon = des.EngineHorizon(e) }
 	})
-	e.AtShard(1, 5.0, func() func() { return nil })
+	atShard(e, 1, 5.0, func() func() { return nil })
 	e.Run()
 	if horizon != 0.25 {
 		t.Fatalf("horizon %v with a speculation at 5.0 in flight, want Now()=0.25", horizon)
@@ -392,7 +428,7 @@ func tortureWorkload(e des.Engine, state []int64, shards int) []string {
 	budget := 2500
 	var sched func(shard int, t des.Time)
 	sched = func(shard int, t des.Time) {
-		e.AtShard(shard, t, func() func() {
+		atShard(e, shard, t, func() func() {
 			state[shard] = state[shard]*3 + int64(shard) + 1
 			v := state[shard]
 			return func() {
@@ -456,7 +492,7 @@ func TestTortureCascadesMatchSequential(t *testing.T) {
 			}
 		}
 		c.balanced(t)
-		if workers == 8 && e.stats.RolledBack == 0 {
+		if workers == 8 && e.EngineStats().RolledBack == 0 {
 			t.Fatal("torture run never rolled back — the cascade pressure is gone")
 		}
 	}
@@ -466,7 +502,7 @@ func TestTortureCascadesMatchSequential(t *testing.T) {
 // only on heap state at each step, never on worker timing, so the full
 // speculation ledger is identical run-to-run.
 func TestSpeculationStatsDeterministic(t *testing.T) {
-	run := func() (Stats, []string) {
+	run := func() (optsim.Stats, []string) {
 		e, c := mkEngine(8, 4)
 		log := tortureWorkload(e, c.state, 8)
 		return e.EngineStats(), log

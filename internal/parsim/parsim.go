@@ -1,67 +1,38 @@
 // Package parsim is the conservative parallel execution backend for the
-// virtual machine: a des.Engine that executes provably independent events
-// concurrently on worker goroutines while committing their global effects
-// in the exact (timestamp, sequence) order the sequential engine would use,
-// so every run is bit-for-bit identical to internal/des.Sequential.
+// virtual machine: a des.Engine that executes provably independent event
+// phases concurrently on worker goroutines while committing their global
+// effects in the exact (timestamp, sequence) order the sequential engine
+// would use, so every run is bit-for-bit identical to
+// internal/des.Sequential.
 //
-// # Design
+// It is the conservative policy over internal/optsim's engine core, which
+// owns the event heap, the launch scan, the worker pool and the commit
+// pipeline (see that package's comment for the launch rule and the
+// two-policy table). The policy is:
 //
-// The engine keeps ONE global event heap with exactly the sequential
-// engine's ordering, and a single driving goroutine that pops and commits
-// events strictly in that order. Parallelism comes from running event
-// *phases* early: a sharded event's body is split by the runtime into a
-// phase (reads and writes only its shard's state, buffers everything else)
-// and a commit closure (applies the buffered global effects). The driver
-// pipelines the two:
+//   - Launch limit top+α: a shard's earliest pending phase runs early only
+//     inside the lookahead window [t0, t0+α) opened by the heap top, where
+//     α is the minimum cross-shard latency of the machine model. α = 0
+//     launches nothing early.
+//   - No speculation controller: inside the window no straggler can
+//     arrive, so nothing is ever rolled back. Wherever the optimistic
+//     policy would roll back — new work scheduled before an in-flight
+//     phase, or a Cancel of one — the lookahead promise was broken, and the
+//     engine panics loudly rather than silently diverging.
+//   - Stop withholds, rather than rolls back, the commits of phases still
+//     in flight: global state stops exactly where the sequential engine
+//     would, and the commits apply if a later Run pops the events.
+//   - GlobalHorizon is the latest in-flight launch (or Now, if later), the
+//     earliest instant at which a global event can be scheduled safely.
 //
-//   - Before every pop it scans the conservative window [t0, t0+L) opened
-//     by the current heap top, where L is the lookahead — the minimum
-//     cross-shard latency of the machine model (the α of the α–β network
-//     model). For each shard, the earliest pending event in the window is
-//     handed to a worker goroutine, which runs its phase concurrently and
-//     caches the commit closure. At most one event per shard is ever in
-//     flight, and never past a global event.
-//   - The pop loop then proceeds exactly like the sequential engine: take
-//     the heap minimum, set the clock to its timestamp, run its commit
-//     (waiting for the phase if a worker has it). Events whose phases were
-//     never launched — globals, and shard-minima that appeared after the
-//     last scan — run inline on the driver.
-//
-// The window makes early phases safe: an in-flight event is its shard's
-// earliest, so the only events that could still be scheduled before it are
-// same-shard continuations of itself (impossible — they are spawned by its
-// own commit) or cross-shard messages, which the machine model delivers at
-// least L later and therefore outside the window. Phases of distinct
-// shards touch disjoint state, and commits — which may touch anything —
-// run serially on the driver in heap order. Because the pop order, the
-// sequence numbering, and the commit order all match the sequential engine
-// exactly, equivalence is by construction rather than by test (the
-// cross-backend digest suite enforces it empirically anyway).
-//
-// Unlike a batched fork-join design, the sliding window keeps the pipeline
-// full across event chains: when a commit schedules its shard's next event
-// (a PE's scheduler pumping the next message), that event becomes
-// launchable at the very next scan, while the driver is still committing
-// other shards' events.
-//
-// # Discipline
-//
-// Phase functions must not call back into the engine — the runtime's
-// context buffering guarantees this for all runtime paths. Commits may
-// schedule freely on their own shard and anywhere at or beyond the window;
-// scheduling a global event, or a cross-shard event that precedes an
-// in-flight phase, is a lookahead violation and panics loudly rather than
-// silently diverging (the runtime's latency model guarantees every message
-// path satisfies the bound).
+// Commits may schedule freely on their own shard and anywhere at or beyond
+// the window; the runtime's latency model guarantees every message path
+// satisfies the bound.
 package parsim
 
 import (
-	"container/heap"
-	"fmt"
-	"runtime"
-	"sync"
-
 	"charmgo/internal/des"
+	"charmgo/internal/optsim"
 	"charmgo/internal/projections/metrics"
 )
 
@@ -73,531 +44,88 @@ type Options struct {
 	// serial).
 	Lookahead des.Time
 	// Shards is the number of shards (virtual nodes). Events carry shard
-	// ids in [0, Shards); ids outside the range are treated as global.
+	// ids in [0, Shards).
 	Shards int
 	// Workers caps the worker goroutines running phases; 0 means
 	// GOMAXPROCS.
 	Workers int
 }
 
-// event mirrors the des engines' event forms with a shard binding and
-// phase-pipeline state.
-type event struct {
-	at    des.Time
-	fn    func()        // global body (shard < 0)
-	sfn   func() func() // sharded two-phase body (closure form)
-	pfn   des.PhaseFn   // sharded two-phase body (preallocated form)
-	cfn   des.CommitFn  // sharded commit-only body (never launched early)
-	a     any
-	b     int64
-	seq   uint64
-	pos   int // heap index, -1 when popped or cancelled
-	shard int // -1 for global events
-
-	// Pipeline state, owned by the driver except as noted.
-	launched bool
-	done     chan struct{} // closed by the worker when the phase finishes
-	commit   func()        // written by the worker before close(done)
-	pval     any           // captured phase panic, re-raised at pop
-	panicked bool
-	launchNs int64 // wall stamp at launch, 0 unless a probe is installed
-}
-
-// Live reports whether the event is still scheduled.
-func (ev *event) Live() bool { return ev.pos >= 0 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.pos = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.pos = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// precedes reports whether a comes before b in the engine's total event
-// order (timestamp, then scheduling sequence).
-func precedes(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// Engine is the parallel conservative event executor. It satisfies
+// Engine is the conservative parallel event executor. It satisfies
 // des.Engine. Its methods must be called from the driving goroutine (or
 // from an event's commit) — the parallelism is internal.
 type Engine struct {
-	now      des.Time
-	seq      uint64
-	heap     eventHeap
-	stopped  bool
-	executed uint64
-
-	lookahead des.Time
-	workers   int
-
-	// Worker pool, alive only while Run/RunUntil executes.
-	jobs   chan *event
-	poolWG sync.WaitGroup
-
-	// In-flight phase tracking, owned by the driver.
-	launchedOn    []*event // per shard: the launched, not-yet-popped event
-	pending       int      // count of launched, not-yet-popped events
-	maxLaunchedAt des.Time // high-water timestamp while pending > 0
-
-	// Scan scratch, reused across steps.
-	stack     []int
-	shardBest []*event
-	touched   []int
-
-	stats Stats
-	sink  des.TraceSink
-	probe des.Probe
+	core *optsim.Engine
 }
 
 // Stats aggregates scheduling counters over the engine's lifetime; useful
 // for judging how much parallelism a workload exposes.
 type Stats struct {
-	Launched    uint64 // phases run early on worker goroutines
+	Launched    uint64 // phases run early on worker goroutines, counted at their pop
 	Inline      uint64 // sharded events run inline on the driver
 	Global      uint64 // global events (always inline)
 	MaxInFlight int    // most concurrently launched phases observed
 }
 
-// EngineStats returns the scheduling counters accumulated so far.
-func (e *Engine) EngineStats() Stats { return e.stats }
+// New returns a conservative parallel engine with the clock at zero.
+func New(opts Options) *Engine {
+	return &Engine{core: optsim.NewConservative(optsim.Options{
+		Shards:  opts.Shards,
+		Workers: opts.Workers,
+		Window:  opts.Lookahead,
+	})}
+}
 
-// SetTraceSink installs (or, with nil, removes) the engine's phase-event
-// sink. The sink is called only from the driving goroutine, at the pop of
-// each sharded event and after its commit — the same positions, in the
-// same total order, as the sequential engine.
-func (e *Engine) SetTraceSink(s des.TraceSink) { e.sink = s }
-
-// SetProbe installs (or, with nil, removes) the engine's wall-clock
-// telemetry probe (internal/telemetry). Strictly side-band: the probe
-// observes launch latency, driver stalls, and window stalls, and nothing
-// it returns influences scheduling. The zero-probe path is a nil check.
-func (e *Engine) SetProbe(p des.Probe) { e.probe = p }
+// EngineStats returns the scheduling counters accumulated so far. No
+// launch is ever rolled back, so a launched phase is counted when its
+// commit is used at pop; a phase Stop withholds counts when a later Run
+// pops it.
+func (e *Engine) EngineStats() Stats {
+	s := e.core.EngineStats()
+	return Stats{Launched: s.Committed, Inline: s.Inline, Global: s.Global, MaxInFlight: s.MaxInFlight}
+}
 
 // RegisterMetrics exposes the engine's scheduling counters through a
 // metrics registry.
 func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc("parsim.phases_launched", func() float64 { return float64(e.stats.Launched) })
-	reg.GaugeFunc("parsim.phases_inline", func() float64 { return float64(e.stats.Inline) })
-	reg.GaugeFunc("parsim.global_events", func() float64 { return float64(e.stats.Global) })
-	reg.GaugeFunc("parsim.max_in_flight", func() float64 { return float64(e.stats.MaxInFlight) })
+	reg.GaugeFunc("parsim.phases_launched", func() float64 { return float64(e.EngineStats().Launched) })
+	reg.GaugeFunc("parsim.phases_inline", func() float64 { return float64(e.EngineStats().Inline) })
+	reg.GaugeFunc("parsim.global_events", func() float64 { return float64(e.EngineStats().Global) })
+	reg.GaugeFunc("parsim.max_in_flight", func() float64 { return float64(e.EngineStats().MaxInFlight) })
 }
-
-// New returns a parallel engine with the clock at zero.
-func New(opts Options) *Engine {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	return &Engine{
-		lookahead:  opts.Lookahead,
-		workers:    w,
-		launchedOn: make([]*event, shards),
-		shardBest:  make([]*event, shards),
-	}
-}
-
-// Now returns the current virtual time.
-func (e *Engine) Now() des.Time { return e.now }
-
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return len(e.heap) }
-
-// Executed counts events that have run.
-func (e *Engine) Executed() uint64 { return e.executed }
 
 // GlobalHorizon returns the earliest timestamp at which a global event may
-// be scheduled without preceding an in-flight phase: the high-water
-// timestamp of launched phases while any are pending, else the current
-// time. Scheduling a global At at exactly this horizon always passes
-// checkSchedule.
-func (e *Engine) GlobalHorizon() des.Time {
-	if e.pending > 0 && e.maxLaunchedAt > e.now {
-		return e.maxLaunchedAt
-	}
-	return e.now
-}
+// be scheduled without preceding an in-flight phase. Scheduling a global
+// At at exactly this horizon never violates the lookahead.
+func (e *Engine) GlobalHorizon() des.Time { return e.core.GlobalHorizon() }
 
-// checkSchedule guards the scheduling entry points against lookahead
-// violations: new work must never precede an in-flight phase that could
-// have observed it.
-func (e *Engine) checkSchedule(shard int, t des.Time) {
-	if shard < 0 {
-		if e.pending > 0 && t < e.maxLaunchedAt {
-			panic(fmt.Sprintf(
-				"parsim: lookahead violation: global event scheduled at t=%v while a phase at t=%v is in flight",
-				t, e.maxLaunchedAt))
-		}
-		return
-	}
-	if le := e.launchedOn[shard]; le != nil && t < le.at {
-		panic(fmt.Sprintf(
-			"parsim: lookahead violation: shard %d event scheduled at t=%v before its in-flight phase at t=%v",
-			shard, t, le.at))
-	}
-}
+// SetTraceSink installs (or, with nil, removes) the engine's phase-event
+// sink, called at the pop of each sharded event and after its commit — the
+// same positions, in the same total order, as the sequential engine.
+func (e *Engine) SetTraceSink(s des.TraceSink) { e.core.SetTraceSink(s) }
 
-// At schedules fn as a global event: it runs alone on the driver, with no
-// phases in flight.
-func (e *Engine) At(t des.Time, fn func()) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("parsim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.checkSchedule(-1, t)
-	ev := &event{at: t, fn: fn, seq: e.seq, shard: -1}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return des.HandleFor(ev)
-}
+// SetProbe installs (or, with nil, removes) the engine's wall-clock
+// telemetry probe: launch latency, driver stalls and window stalls.
+func (e *Engine) SetProbe(p des.Probe) { e.core.SetProbe(p) }
 
-// AtShard schedules a two-phase event on a shard.
-func (e *Engine) AtShard(shard int, t des.Time, fn func() func()) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("parsim: scheduling event at %v before now %v", t, e.now))
-	}
-	if shard < 0 || shard >= len(e.launchedOn) {
-		panic(fmt.Sprintf("parsim: shard %d out of range [0,%d)", shard, len(e.launchedOn)))
-	}
-	e.checkSchedule(shard, t)
-	ev := &event{at: t, sfn: fn, seq: e.seq, shard: shard}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return des.HandleFor(ev)
-}
+// The des.Engine methods run on the core; see des.Engine for their
+// contracts.
 
-// AtShardFn schedules a two-phase event from a preallocated PhaseFn. It is
-// launchable on workers exactly like the closure form.
+func (e *Engine) Now() des.Time       { return e.core.Now() }
+func (e *Engine) Pending() int        { return e.core.Pending() }
+func (e *Engine) Executed() uint64    { return e.core.Executed() }
+func (e *Engine) Cancel(h des.Handle) { e.core.Cancel(h) }
+func (e *Engine) Stop()               { e.core.Stop() }
+func (e *Engine) Run()                { e.core.Run() }
+func (e *Engine) RunUntil(t des.Time) { e.core.RunUntil(t) }
+
+func (e *Engine) At(t des.Time, fn func()) des.Handle    { return e.core.At(t, fn) }
+func (e *Engine) After(d des.Time, fn func()) des.Handle { return e.core.After(d, fn) }
+
 func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("parsim: scheduling event at %v before now %v", t, e.now))
-	}
-	if shard < 0 || shard >= len(e.launchedOn) {
-		panic(fmt.Sprintf("parsim: shard %d out of range [0,%d)", shard, len(e.launchedOn)))
-	}
-	e.checkSchedule(shard, t)
-	ev := &event{at: t, pfn: fn, a: a, b: b, seq: e.seq, shard: shard}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return des.HandleFor(ev)
+	return e.core.AtShardFn(shard, t, fn, a, b)
 }
 
-// AtShardCommit schedules a sharded event whose entire body runs at commit
-// position on the driver. It participates in shard ordering (the launch
-// scan will not run a later same-shard phase past it) but is never handed
-// to a worker: its body may touch global state, exactly like any commit.
 func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) des.Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("parsim: scheduling event at %v before now %v", t, e.now))
-	}
-	if shard < 0 || shard >= len(e.launchedOn) {
-		panic(fmt.Sprintf("parsim: shard %d out of range [0,%d)", shard, len(e.launchedOn)))
-	}
-	e.checkSchedule(shard, t)
-	ev := &event{at: t, cfn: fn, a: a, b: b, seq: e.seq, shard: shard}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return des.HandleFor(ev)
-}
-
-// After schedules fn to run d seconds from now as a global event.
-func (e *Engine) After(d des.Time, fn func()) des.Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("parsim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an event whose phase is in
-// flight panics: the phase has already run, so the cancellation arrived
-// later than the lookahead bound promised possible.
-func (e *Engine) Cancel(h des.Handle) {
-	ref := h.EventRef()
-	if ref == nil {
-		return
-	}
-	ev, ok := ref.(*event)
-	if !ok {
-		panic("parsim: Cancel of a handle from a different engine")
-	}
-	if ev.pos < 0 {
-		return
-	}
-	if ev.launched {
-		panic("parsim: Cancel of an event whose phase is in flight (lookahead violation)")
-	}
-	heap.Remove(&e.heap, ev.pos)
-}
-
-// Stop makes Run return before the next pop. Phases already in flight
-// finish on their workers, but their commits are withheld (they apply if a
-// later Run pops them) — so global state stops exactly where the
-// sequential engine would stop; only the in-flight shards' local state has
-// advanced. Apps that Exit from solo global events (reduction and
-// quiescence callbacks — the idiomatic pattern) never have phases in
-// flight at that point and observe identical behaviour on both backends.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	defer e.shutdownPool()
-	for !e.stopped && len(e.heap) > 0 {
-		e.step(des.Forever)
-	}
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock
-// to t (if it is ahead of the last event).
-func (e *Engine) RunUntil(t des.Time) {
-	e.stopped = false
-	defer e.shutdownPool()
-	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= t {
-		e.step(t)
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// step launches eligible phases, then pops and commits the next event in
-// heap order. horizon (inclusive) bounds execution for RunUntil.
-func (e *Engine) step(horizon des.Time) {
-	e.launch(horizon)
-	ev := heap.Pop(&e.heap).(*event)
-	e.now = ev.at
-	e.executed++
-
-	if ev.shard < 0 {
-		// A global event may touch every shard; the scan never launches
-		// past one, and checkSchedule rejects late arrivals, so no phase
-		// can be in flight here.
-		if e.pending > 0 {
-			e.drainLaunched()
-			panic(fmt.Sprintf("parsim: internal: global event at t=%v popped with %d phases in flight", ev.at, e.pending))
-		}
-		e.stats.Global++
-		ev.fn()
-		if e.probe != nil {
-			e.probe.EventExecuted(ev.shard, ev.at, len(e.heap))
-		}
-		return
-	}
-
-	if e.sink != nil {
-		e.sink.PhaseStart(ev.shard, ev.at)
-	}
-	var commit func()
-	var stallNs int64
-	if ev.launched {
-		e.launchedOn[ev.shard] = nil
-		e.pending--
-		if e.pending == 0 {
-			e.maxLaunchedAt = 0
-		}
-		if e.probe != nil {
-			t0 := e.probe.WallNow()
-			<-ev.done
-			stallNs = e.probe.WallNow() - t0
-		} else {
-			<-ev.done
-		}
-		e.stats.Launched++
-		if ev.panicked {
-			// Re-raise deterministically in pop order, not worker order.
-			// No PhaseDone: the sequential engine panics out of sfn()
-			// before reaching its PhaseDone too.
-			e.drainLaunched()
-			panic(ev.pval)
-		}
-		commit = ev.commit
-	} else {
-		e.stats.Inline++
-		switch {
-		case ev.cfn != nil:
-			ev.cfn(ev.a, ev.b, ev.at)
-		case ev.pfn != nil:
-			commit = ev.pfn(ev.a, ev.b, ev.at)
-		default:
-			commit = ev.sfn()
-		}
-	}
-	if commit != nil {
-		commit()
-	}
-	if e.sink != nil {
-		e.sink.PhaseDone(ev.shard, ev.at)
-	}
-	if e.probe != nil {
-		if ev.launched {
-			e.probe.PhaseWall(ev.shard, ev.at, e.probe.WallNow()-ev.launchNs, stallNs, false)
-		}
-		e.probe.EventExecuted(ev.shard, ev.at, len(e.heap))
-	}
-}
-
-// launch scans the conservative window [top, top+L) and hands each shard's
-// earliest pending event to the worker pool, stopping at the first global
-// event in the window. The scan walks only the heap's window prefix (a
-// pruned DFS over the heap array), so its cost is proportional to the
-// window population.
-func (e *Engine) launch(horizon des.Time) {
-	if e.lookahead <= 0 || len(e.launchedOn) < 2 || len(e.heap) < 2 {
-		return
-	}
-	limit := e.heap[0].at + e.lookahead
-	var minGlobal *event
-	e.stack = append(e.stack[:0], 0)
-	e.touched = e.touched[:0]
-	for len(e.stack) > 0 {
-		i := e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
-		ev := e.heap[i]
-		if ev.at >= limit || ev.at > horizon {
-			continue // children are no earlier: prune the subtree
-		}
-		if ev.shard < 0 {
-			if minGlobal == nil || precedes(ev, minGlobal) {
-				minGlobal = ev
-			}
-		} else if b := e.shardBest[ev.shard]; b == nil {
-			e.shardBest[ev.shard] = ev
-			e.touched = append(e.touched, ev.shard)
-		} else if precedes(ev, b) {
-			e.shardBest[ev.shard] = ev
-		}
-		if l := 2*i + 1; l < len(e.heap) {
-			e.stack = append(e.stack, l)
-		}
-		if r := 2*i + 2; r < len(e.heap) {
-			e.stack = append(e.stack, r)
-		}
-	}
-	launchedBefore := e.pending
-	for _, s := range e.touched {
-		ev := e.shardBest[s]
-		e.shardBest[s] = nil
-		if ev.launched || ev == e.heap[0] {
-			// Already in flight, or about to be popped anyway — the driver
-			// runs the top inline and overlaps with the other launches.
-			continue
-		}
-		if minGlobal != nil && precedes(minGlobal, ev) {
-			continue
-		}
-		if ev.cfn != nil {
-			// Commit-only bodies touch global state; they run inline on the
-			// driver at pop. Leaving the shard unlaunched this scan keeps
-			// same-shard ordering intact.
-			continue
-		}
-		e.launchEvent(ev)
-	}
-	if e.probe != nil && e.pending == 0 && launchedBefore == 0 {
-		// The window held work (the heap has >= 2 events; the scan ran) but
-		// nothing could overlap the coming pop: the lookahead window
-		// stalled the pipeline for this step.
-		e.probe.WindowStall(e.heap[0].at)
-	}
-}
-
-// launchEvent hands one event's phase to the worker pool.
-func (e *Engine) launchEvent(ev *event) {
-	if e.jobs == nil {
-		e.jobs = make(chan *event, len(e.launchedOn))
-		for w := 0; w < e.workers; w++ {
-			e.poolWG.Add(1)
-			//charmvet:parsim (phase workers execute provably independent events)
-			go e.worker()
-		}
-	}
-	ev.launched = true
-	ev.done = make(chan struct{})
-	e.launchedOn[ev.shard] = ev
-	e.pending++
-	if ev.at > e.maxLaunchedAt {
-		e.maxLaunchedAt = ev.at
-	}
-	if e.pending > e.stats.MaxInFlight {
-		e.stats.MaxInFlight = e.pending
-	}
-	if e.probe != nil {
-		ev.launchNs = e.probe.WallNow()
-	}
-	e.jobs <- ev
-}
-
-// worker drains the job channel, running one phase at a time.
-func (e *Engine) worker() {
-	defer e.poolWG.Done()
-	for ev := range e.jobs {
-		runPhase(ev)
-	}
-}
-
-// runPhase executes one event's phase, capturing panics so the driver can
-// re-raise them in deterministic pop order.
-func runPhase(ev *event) {
-	defer close(ev.done)
-	defer func() {
-		if r := recover(); r != nil {
-			ev.pval, ev.panicked = r, true
-		}
-	}()
-	if ev.pfn != nil {
-		ev.commit = ev.pfn(ev.a, ev.b, ev.at)
-		return
-	}
-	ev.commit = ev.sfn()
-}
-
-// drainLaunched waits for every in-flight phase; their cached commits stay
-// attached to their (still-pending) events.
-func (e *Engine) drainLaunched() {
-	for _, ev := range e.heap {
-		if ev != nil && ev.launched {
-			<-ev.done
-		}
-	}
-}
-
-// shutdownPool stops the workers after finishing all handed-out phases, so
-// no goroutine outlives Run/RunUntil.
-func (e *Engine) shutdownPool() {
-	if e.jobs == nil {
-		return
-	}
-	close(e.jobs)
-	e.poolWG.Wait()
-	e.jobs = nil
-	e.drainLaunched()
+	return e.core.AtShardCommit(shard, t, fn, a, b)
 }

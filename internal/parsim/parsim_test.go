@@ -9,32 +9,15 @@ import (
 
 // mkEngine returns an engine with a lookahead window of 1.0 over `shards`
 // shards — wide enough that admission is governed purely by the tests'
-// chosen timestamps.
+// chosen timestamps. The tests this policy shares with the optimistic one
+// run over both in internal/optsim's policy table.
 func mkEngine(shards, workers int) *Engine {
 	return New(Options{Lookahead: 1.0, Shards: shards, Workers: workers})
 }
 
-// TestCommitOrderMatchesSequential schedules events across shards inside
-// one window and checks the commit order is the (timestamp, seq) heap
-// order, not the phase completion order.
-func TestCommitOrderMatchesSequential(t *testing.T) {
-	e := mkEngine(4, 4)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.AtShard(i, 0.1+0.01*des.Time(i), func() func() {
-			return func() { order = append(order, i) }
-		})
-	}
-	e.Run()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("commit order %v, want shards in timestamp order", order)
-		}
-	}
-	if e.Executed() != 4 {
-		t.Fatalf("executed %d, want 4", e.Executed())
-	}
+// atShard schedules a one-off two-phase closure through des.ClosurePhase.
+func atShard(e *Engine, shard int, t des.Time, fn func() func()) des.Handle {
+	return e.AtShardFn(shard, t, des.ClosurePhase, fn, 0)
 }
 
 // TestPhasesRunConcurrently proves the pipeline actually fans out: the
@@ -43,7 +26,7 @@ func TestCommitOrderMatchesSequential(t *testing.T) {
 func TestPhasesRunConcurrently(t *testing.T) {
 	e := mkEngine(2, 2)
 	peerStarted := make(chan struct{})
-	e.AtShard(0, 0.100, func() func() {
+	atShard(e, 0, 0.100, func() func() {
 		select {
 		case <-peerStarted: // the launched phase ran while we were running
 		case <-time.After(5 * time.Second):
@@ -51,7 +34,7 @@ func TestPhasesRunConcurrently(t *testing.T) {
 		}
 		return nil
 	})
-	e.AtShard(1, 0.101, func() func() {
+	atShard(e, 1, 0.101, func() func() {
 		close(peerStarted)
 		return nil
 	})
@@ -65,15 +48,15 @@ func TestPhasesRunConcurrently(t *testing.T) {
 func TestSpawnedContinuationsRunInOrder(t *testing.T) {
 	e := mkEngine(2, 2)
 	var order []string
-	e.AtShard(0, 0.10, func() func() {
+	atShard(e, 0, 0.10, func() func() {
 		return func() {
 			order = append(order, "A")
-			e.AtShard(0, 0.11, func() func() {
+			atShard(e, 0, 0.11, func() func() {
 				return func() { order = append(order, "A'") }
 			})
 		}
 	})
-	e.AtShard(1, 0.12, func() func() {
+	atShard(e, 1, 0.12, func() func() {
 		return func() { order = append(order, "B") }
 	})
 	e.Run()
@@ -93,14 +76,14 @@ func TestSpawnedContinuationsRunInOrder(t *testing.T) {
 // was wrong; the engine must fail loudly instead of diverging.
 func TestScheduleBeforeInFlightPhasePanics(t *testing.T) {
 	e := mkEngine(2, 2)
-	e.AtShard(0, 0.10, func() func() {
+	atShard(e, 0, 0.10, func() func() {
 		return func() {
 			// Shard 1's event at 0.11 is in flight; scheduling below it
 			// violates the lookahead promise.
-			e.AtShard(1, 0.105, func() func() { return nil })
+			atShard(e, 1, 0.105, func() func() { return nil })
 		}
 	})
-	e.AtShard(1, 0.11, func() func() { return nil })
+	atShard(e, 1, 0.11, func() func() { return nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling before an in-flight phase")
@@ -114,12 +97,12 @@ func TestScheduleBeforeInFlightPhasePanics(t *testing.T) {
 // scheduled below a launched phase.
 func TestGlobalScheduleBeforeInFlightPhasePanics(t *testing.T) {
 	e := mkEngine(2, 2)
-	e.AtShard(0, 0.10, func() func() {
+	atShard(e, 0, 0.10, func() func() {
 		return func() {
 			e.At(0.105, func() {})
 		}
 	})
-	e.AtShard(1, 0.11, func() func() { return nil })
+	atShard(e, 1, 0.11, func() func() { return nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling a global below an in-flight phase")
@@ -133,9 +116,9 @@ func TestGlobalScheduleBeforeInFlightPhasePanics(t *testing.T) {
 func TestGlobalEventsRunSolo(t *testing.T) {
 	e := mkEngine(4, 4)
 	var order []string
-	e.AtShard(0, 0.10, func() func() { return func() { order = append(order, "s0") } })
+	atShard(e, 0, 0.10, func() func() { return func() { order = append(order, "s0") } })
 	e.At(0.105, func() { order = append(order, "g") })
-	e.AtShard(1, 0.11, func() func() { return func() { order = append(order, "s1") } })
+	atShard(e, 1, 0.11, func() func() { return func() { order = append(order, "s1") } })
 	e.Run()
 	want := []string{"s0", "g", "s1"}
 	for i := range want {
@@ -150,8 +133,8 @@ func TestGlobalEventsRunSolo(t *testing.T) {
 func TestCancelPendingEvent(t *testing.T) {
 	e := mkEngine(2, 2)
 	var fired bool
-	h := e.AtShard(1, 2.0, func() func() { fired = true; return nil })
-	e.AtShard(0, 0.1, func() func() {
+	h := atShard(e, 1, 2.0, func() func() { fired = true; return nil })
+	atShard(e, 0, 0.1, func() func() {
 		return func() { e.Cancel(h) }
 	})
 	e.Run()
@@ -165,8 +148,8 @@ func TestCancelPendingEvent(t *testing.T) {
 
 func TestCancelInFlightPanics(t *testing.T) {
 	e := mkEngine(2, 2)
-	h := e.AtShard(1, 0.101, func() func() { return nil })
-	e.AtShard(0, 0.1, func() func() {
+	h := atShard(e, 1, 0.101, func() func() { return nil })
+	atShard(e, 0, 0.1, func() func() {
 		return func() { e.Cancel(h) }
 	})
 	defer func() {
@@ -177,29 +160,6 @@ func TestCancelInFlightPanics(t *testing.T) {
 	e.Run()
 }
 
-// TestRunUntil bounds batches by the horizon and advances the clock.
-func TestRunUntil(t *testing.T) {
-	e := mkEngine(2, 2)
-	var ran []des.Time
-	for _, at := range []des.Time{0.1, 0.2, 0.9} {
-		at := at
-		e.AtShard(int(at*10)%2, at, func() func() {
-			return func() { ran = append(ran, at) }
-		})
-	}
-	e.RunUntil(0.5)
-	if len(ran) != 2 {
-		t.Fatalf("ran %v, want the two events <= 0.5", ran)
-	}
-	if e.Now() != 0.5 {
-		t.Fatalf("clock %v, want 0.5", e.Now())
-	}
-	e.RunUntil(1.0)
-	if len(ran) != 3 || e.Now() != 1.0 {
-		t.Fatalf("ran %v now %v, want all three events and now=1.0", ran, e.Now())
-	}
-}
-
 // TestStopWithholdsUncommittedPhases: Stop from a commit returns before
 // the next pop; an in-flight phase finishes on its worker but its commit
 // is withheld — global state stops exactly where the sequential engine
@@ -207,13 +167,13 @@ func TestRunUntil(t *testing.T) {
 func TestStopWithholdsUncommittedPhases(t *testing.T) {
 	e := mkEngine(2, 2)
 	var committed []int
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			committed = append(committed, 0)
 			e.Stop()
 		}
 	})
-	e.AtShard(1, 0.1001, func() func() {
+	atShard(e, 1, 0.1001, func() func() {
 		return func() { committed = append(committed, 1) }
 	})
 	e.Run()
@@ -226,24 +186,28 @@ func TestStopWithholdsUncommittedPhases(t *testing.T) {
 	}
 }
 
-// TestPhasePanicPropagatesDeterministically: the first batch member (in
-// heap order) that panics is the one re-raised, regardless of worker
-// interleaving.
-func TestPhasePanicPropagatesDeterministically(t *testing.T) {
-	e := mkEngine(4, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		e.AtShard(i, 0.1+0.001*des.Time(i), func() func() {
-			if i >= 1 {
-				panic(i)
-			}
-			return nil
-		})
-	}
-	defer func() {
-		if r := recover(); r != 1 {
-			t.Fatalf("recovered %v, want panic value 1 (lowest panicking batch index)", r)
+// TestGlobalHorizonIsLatestLaunch: with a phase in flight, the safe horizon
+// for a global event is that phase's timestamp, read from the in-flight
+// launches, and a global scheduled exactly there passes the lookahead
+// guard.
+func TestGlobalHorizonIsLatestLaunch(t *testing.T) {
+	e := mkEngine(2, 2)
+	var horizon des.Time = -1
+	atShard(e, 0, 0.25, func() func() {
+		return func() {
+			horizon = des.EngineHorizon(e)
+			e.At(horizon, func() {})
 		}
-	}()
+	})
+	atShard(e, 1, 0.75, func() func() { return nil })
 	e.Run()
+	if horizon != 0.75 {
+		t.Fatalf("horizon %v with a phase at 0.75 in flight, want 0.75", horizon)
+	}
+	if e.Executed() != 3 {
+		t.Fatalf("executed %d, want 3", e.Executed())
+	}
+	if got := des.EngineHorizon(e); got != e.Now() {
+		t.Fatalf("horizon %v after the run, want Now()=%v", got, e.Now())
+	}
 }

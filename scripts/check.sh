@@ -26,6 +26,13 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -count=1 -run 'CrossBackend' ./internal/apps/determinism/ ./internal/projections/
 done
 
+# Engine conformance fuzzing, bounded: generated event programs (timestamp
+# ties, cancels, Stop and RunUntil, global/sharded/commit-only events, and
+# forced stragglers for the optimistic policy) must commit in des.Heap's
+# order, with its Executed count, on des.Sequential and on the parallel
+# engine core under both policies. The seed corpus also runs in go test.
+go test -run '^$' -fuzz FuzzEngineOrder -fuzztime 30s ./internal/optsim/
+
 # Telemetry gate: LeanMD/PDES/Stencil2D digests must be byte-identical with
 # the telemetry probe attached vs detached on all three backends — the
 # observability layer is strictly side-band, enforced under the race
