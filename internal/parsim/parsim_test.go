@@ -9,8 +9,7 @@ import (
 
 // mkEngine returns an engine with a lookahead window of 1.0 over `shards`
 // shards — wide enough that admission is governed purely by the tests'
-// chosen timestamps. The tests this policy shares with the optimistic one
-// run over both in internal/optsim's policy table.
+// chosen timestamps.
 func mkEngine(shards, workers int) *Engine {
 	return New(Options{Lookahead: 1.0, Shards: shards, Workers: workers})
 }
@@ -18,6 +17,29 @@ func mkEngine(shards, workers int) *Engine {
 // atShard schedules a one-off two-phase closure through des.ClosurePhase.
 func atShard(e *Engine, shard int, t des.Time, fn func() func()) des.Handle {
 	return e.AtShardFn(shard, t, des.ClosurePhase, fn, 0)
+}
+
+// TestCommitOrderMatchesSequential schedules events across shards inside
+// one window and checks the commit order is the (timestamp, seq) heap
+// order, not the phase completion order.
+func TestCommitOrderMatchesSequential(t *testing.T) {
+	e := mkEngine(4, 4)
+	var order []int
+	for i := 0; i < 4; i++ {
+		i := i
+		atShard(e, i, 0.1+0.01*des.Time(i), func() func() {
+			return func() { order = append(order, i) }
+		})
+	}
+	e.Run()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("commit order %v, want shards in timestamp order", order)
+		}
+	}
+	if e.Executed() != 4 {
+		t.Fatalf("executed %d, want 4", e.Executed())
+	}
 }
 
 // TestPhasesRunConcurrently proves the pipeline actually fans out: the
@@ -160,6 +182,29 @@ func TestCancelInFlightPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestRunUntil bounds launches by the horizon and advances the clock.
+func TestRunUntil(t *testing.T) {
+	e := mkEngine(2, 2)
+	var ran []des.Time
+	for _, at := range []des.Time{0.1, 0.2, 0.9} {
+		at := at
+		atShard(e, int(at*10)%2, at, func() func() {
+			return func() { ran = append(ran, at) }
+		})
+	}
+	e.RunUntil(0.5)
+	if len(ran) != 2 {
+		t.Fatalf("ran %v, want the two events <= 0.5", ran)
+	}
+	if e.Now() != 0.5 {
+		t.Fatalf("clock %v, want 0.5", e.Now())
+	}
+	e.RunUntil(1.0)
+	if len(ran) != 3 || e.Now() != 1.0 {
+		t.Fatalf("ran %v now %v, want all three events and now=1.0", ran, e.Now())
+	}
+}
+
 // TestStopWithholdsUncommittedPhases: Stop from a commit returns before
 // the next pop; an in-flight phase finishes on its worker but its commit
 // is withheld — global state stops exactly where the sequential engine
@@ -210,4 +255,25 @@ func TestGlobalHorizonIsLatestLaunch(t *testing.T) {
 	if got := des.EngineHorizon(e); got != e.Now() {
 		t.Fatalf("horizon %v after the run, want Now()=%v", got, e.Now())
 	}
+}
+
+// TestPhasePanicPropagatesDeterministically: the first panicking event in
+// heap order is the one re-raised, regardless of worker interleaving.
+func TestPhasePanicPropagatesDeterministically(t *testing.T) {
+	e := mkEngine(4, 4)
+	for i := 0; i < 4; i++ {
+		i := i
+		atShard(e, i, 0.1+0.001*des.Time(i), func() func() {
+			if i >= 1 {
+				panic(i)
+			}
+			return nil
+		})
+	}
+	defer func() {
+		if r := recover(); r != 1 {
+			t.Fatalf("recovered %v, want panic value 1 (lowest panicking event)", r)
+		}
+	}()
+	e.Run()
 }
