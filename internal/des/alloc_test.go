@@ -4,11 +4,10 @@ import "testing"
 
 // TestScheduleExecuteAllocFree pins the calendar engine's steady-state
 // schedule+pop cycle at (near) zero heap allocations per event: events live
-// in a slab-backed store with free-list recycling, the AtShardFn form takes
-// a preallocated body instead of a closure, and handles are index+generation
-// values. The calendar occasionally grows or reseeds a bucket as virtual
-// time advances, so the budget is a small fraction of an allocation per
-// event rather than exactly zero.
+// in the slab-backed Store with free-slot recycling, and the AtShardFn form
+// takes a preallocated body instead of a closure. The calendar occasionally
+// grows or reseeds a bucket as virtual time advances, so the budget is a
+// small fraction of an allocation per event rather than exactly zero.
 func TestScheduleExecuteAllocFree(t *testing.T) {
 	e := NewEngine()
 	remaining := 0

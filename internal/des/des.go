@@ -4,19 +4,22 @@
 // runtime action (message delivery, entry-method completion, timer expiry)
 // is an event with a virtual timestamp. Events at equal timestamps are
 // ordered by an insertion sequence number, which makes every simulation run
-// bit-for-bit reproducible.
+// bit-for-bit reproducible. Once scheduled, an event always runs: the
+// runtime, like Charm++'s scheduler, never takes a message back.
 //
 // Four engines satisfy the Engine interface and produce identical event
-// orders. Sequential (this package) executes every event on the calling
-// goroutine from a slab-allocated event store drained through a calendar
-// queue. Heap (this package) is the original binary-heap executor, kept as
-// the reference for differential order tests and for measuring the
-// calendar engine's speedup. The two parallel engines share one core in
-// internal/optsim, which executes event phases on worker goroutines while
-// preserving the exact (timestamp, sequence) commit order: internal/parsim
-// runs it under the conservative policy (phases launch only inside the
-// lookahead window) and internal/optsim under the optimistic one (phases
-// speculate and roll back on a straggler).
+// orders. Three of them keep their events in this package's Store, a
+// slab-allocated event store drained through a calendar queue: Sequential
+// (this package) executes every event on the calling goroutine, and the
+// two parallel engines share one core in internal/optsim, which executes
+// event phases on worker goroutines while preserving the exact (timestamp,
+// sequence) commit order — internal/parsim runs it under the conservative
+// policy (phases launch only inside the lookahead window) and
+// internal/optsim under the optimistic one (phases speculate and roll back
+// on a straggler). Heap (this package) is the original binary-heap
+// executor with its own container/heap queue, kept as the independent
+// reference for differential order tests and for measuring the calendar
+// engine's speedup.
 package des
 
 import "math"
@@ -51,32 +54,31 @@ type CommitFn func(a any, b int64, at Time)
 // Engine is the scheduling interface the runtime depends on. All methods
 // must be called from the simulation's driving goroutine (or from within an
 // event's commit); engines are not thread-safe by design — parallelism, where
-// available, lives inside the engine.
+// available, lives inside the engine. A scheduled event cannot be withdrawn:
+// it runs when it reaches the front of the queue. Scheduling at a timestamp
+// before Now(), or at NaN, panics.
 type Engine interface {
 	// Now returns the current virtual time.
 	Now() Time
-	// Pending returns the number of scheduled, uncancelled events.
+	// Pending returns the number of scheduled events not yet popped.
 	Pending() int
 	// Executed counts events that have run, for introspection and tests.
 	Executed() uint64
 	// At schedules fn to run at absolute virtual time t as a global event:
 	// fn may touch any simulation state, so a parallel engine runs it alone.
-	At(t Time, fn func()) Handle
+	At(t Time, fn func())
 	// AtShardFn schedules a two-phase event bound to a shard (a virtual
 	// node): fn is invoked with (a, b, t) at pop, may touch only
 	// shard-local state, and returns a commit closure (or nil) that the
 	// engine runs with global state exclusively held, in exact (timestamp,
 	// sequence) order. A sequential engine runs phase and commit back to
 	// back; a parallel one may run the phase early on a worker.
-	AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle
+	AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64)
 	// AtShardCommit schedules a sharded event whose entire body runs at
 	// commit position, again without a per-event closure.
-	AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) Handle
+	AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64)
 	// After schedules fn to run d seconds from now as a global event.
-	After(d Time, fn func()) Handle
-	// Cancel removes a scheduled event. Cancelling an already-fired or
-	// already-cancelled event is a no-op.
-	Cancel(h Handle)
+	After(d Time, fn func())
 	// Stop makes Run return after the currently executing event completes.
 	Stop()
 	// Run executes events until the queue drains or Stop is called.
@@ -89,12 +91,13 @@ type Engine interface {
 // HorizonReporter is implemented by engines that can report a safe
 // scheduling horizon for *global* events: the earliest timestamp at which a
 // new global event is guaranteed not to precede any phase the engine has
-// already handed to a worker. The sequential engines' horizon is simply
-// Now(), and so is the optimistic engine's (a global in a speculation's
-// past rolls it back); the conservative engine's is its latest in-flight
-// launch. Fault-recovery code uses this to schedule a rollback — a global
-// event — from inside an event commit without tripping the conservative
-// engine's lookahead guard.
+// already handed to a worker. Events are never withdrawn, so a newly
+// scheduled event is the only thing that can land in such a phase's past.
+// The sequential engines' horizon is simply Now(), and so is the optimistic
+// engine's (a global in a speculation's past rolls it back); the
+// conservative engine's is its latest in-flight launch. Fault-recovery code
+// uses this to schedule a rollback — a global event — from inside an event
+// commit without tripping the conservative engine's lookahead guard.
 type HorizonReporter interface {
 	GlobalHorizon() Time
 }
@@ -183,37 +186,4 @@ type Probe interface {
 // telemetry to a Probe. A nil probe (the default) disables reporting.
 type ProbeSetter interface {
 	SetProbe(Probe)
-}
-
-// Ref is an engine-internal event reference held by a Handle.
-type Ref interface {
-	// Live reports whether the event is still scheduled.
-	Live() bool
-}
-
-// Handle allows a scheduled event to be cancelled before it fires. Two
-// representations exist: pointer-based engines (Heap and the parallel core
-// in internal/optsim) wrap a Ref; the slab-backed Sequential engine mints
-// index+generation handles so the hot path never allocates.
-type Handle struct {
-	ev  Ref
-	eng *Sequential
-	id  uint64 // slot index << 32 | slot generation
-}
-
-// HandleFor wraps an engine's event reference; engine implementations use
-// it to mint handles.
-func HandleFor(r Ref) Handle { return Handle{ev: r} }
-
-// EventRef returns the wrapped reference (nil for the zero Handle and for
-// slab-backed handles).
-func (h Handle) EventRef() Ref { return h.ev }
-
-// Cancelled reports whether Cancel was called on the handle's event, or the
-// event already fired.
-func (h Handle) Cancelled() bool {
-	if h.eng != nil {
-		return !h.eng.live(h.id)
-	}
-	return h.ev == nil || !h.ev.Live()
 }

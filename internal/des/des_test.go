@@ -61,44 +61,6 @@ func TestAfterAndNow(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	h := e.At(1, func() { fired = true })
-	e.Cancel(h)
-	if !h.Cancelled() {
-		t.Fatal("handle should report cancelled")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double cancel is a no-op.
-	e.Cancel(h)
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	var handles []Handle
-	for _, ts := range []Time{1, 2, 3, 4, 5, 6, 7, 8} {
-		ts := ts
-		handles = append(handles, e.At(ts, func() { got = append(got, ts) }))
-	}
-	e.Cancel(handles[3]) // t=4
-	e.Cancel(handles[6]) // t=7
-	e.Run()
-	want := []Time{1, 2, 3, 5, 6, 8}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0

@@ -10,7 +10,8 @@ import (
 // exact (timestamp, sequence) pop order this engine does (the differential
 // tests enforce it), and the scale benchmarks measure the calendar engine's
 // speedup against it in the same process, which makes the recorded ratio
-// host-independent.
+// host-independent. It keeps its own container/heap store rather than
+// Store, so the differential tests compare two independent queues.
 type Heap struct {
 	now      Time
 	seq      uint64
@@ -26,22 +27,6 @@ func NewHeapEngine() *Heap {
 	return &Heap{}
 }
 
-// Event is a closure scheduled to run at a virtual time (heap engine form).
-type Event struct {
-	At    Time
-	Fn    func()
-	pfn   PhaseFn
-	cfn   CommitFn
-	a     any
-	b     int64
-	shard int // shard id of a sharded event (unused for globals)
-	seq   uint64
-	pos   int // heap index, -1 when popped or cancelled
-}
-
-// Live reports whether the event is still scheduled.
-func (ev *Event) Live() bool { return ev.pos >= 0 }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -51,22 +36,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.pos = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.pos = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -74,7 +50,7 @@ func (h *eventHeap) Pop() any {
 // Now returns the current virtual time.
 func (e *Heap) Now() Time { return e.now }
 
-// Pending returns the number of scheduled, uncancelled events.
+// Pending returns the number of scheduled events.
 func (e *Heap) Pending() int { return len(e.heap) }
 
 // GlobalHorizon returns the current time: the heap engine never has work in
@@ -84,58 +60,38 @@ func (e *Heap) GlobalHorizon() Time { return e.now }
 // Executed counts events that have run.
 func (e *Heap) Executed() uint64 { return e.executed }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality.
-func (e *Heap) At(t Time, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
+// push stamps ev with the next sequence number and queues it. Scheduling
+// in the past, or at NaN, panics: it would silently reorder causality.
+func (e *Heap) push(ev *Event) {
+	if !(ev.At >= e.now) {
+		panic(fmt.Sprintf("des: scheduling event at %v before now %v", ev.At, e.now))
 	}
-	ev := &Event{At: t, Fn: fn, seq: e.seq}
+	ev.seq = e.seq
 	e.seq++
 	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
 }
+
+// At schedules fn to run at absolute virtual time t.
+func (e *Heap) At(t Time, fn func()) { e.push(&Event{At: t, Shard: -1, Fn: fn}) }
 
 // AtShardFn schedules a two-phase event; phase and commit run back to
 // back.
-func (e *Heap) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{At: t, pfn: fn, a: a, b: b, shard: shard, seq: e.seq}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
+func (e *Heap) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) {
+	e.push(&Event{At: t, Shard: shard, Phase: fn, A: a, B: b})
 }
 
 // AtShardCommit schedules a commit-only sharded event from a preallocated
 // CommitFn.
-func (e *Heap) AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{At: t, cfn: fn, a: a, b: b, shard: shard, seq: e.seq}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
+func (e *Heap) AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) {
+	e.push(&Event{At: t, Shard: shard, Commit: fn, A: a, B: b})
 }
 
 // After schedules fn to run d seconds from now.
-func (e *Heap) After(d Time, fn func()) Handle {
-	if d < 0 {
+func (e *Heap) After(d Time, fn func()) {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("des: negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Heap) Cancel(h Handle) {
-	ev, ok := h.ev.(*Event)
-	if !ok || ev == nil || ev.pos < 0 {
-		return
-	}
-	heap.Remove(&e.heap, ev.pos)
+	e.At(e.now+d, fn)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -159,15 +115,15 @@ func (e *Heap) Step() bool {
 		return true
 	}
 	if e.sink != nil {
-		e.sink.PhaseStart(ev.shard, ev.At)
+		e.sink.PhaseStart(ev.Shard, ev.At)
 	}
-	if ev.cfn != nil {
-		ev.cfn(ev.a, ev.b, ev.At)
-	} else if commit := ev.pfn(ev.a, ev.b, ev.At); commit != nil {
+	if ev.Commit != nil {
+		ev.Commit(ev.A, ev.B, ev.At)
+	} else if commit := ev.Phase(ev.A, ev.B, ev.At); commit != nil {
 		commit()
 	}
 	if e.sink != nil {
-		e.sink.PhaseDone(ev.shard, ev.At)
+		e.sink.PhaseDone(ev.Shard, ev.At)
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package optsim_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"charmgo/internal/des"
@@ -11,15 +12,16 @@ import (
 
 // The engine conformance harness. FuzzEngineOrder decodes its input into
 // an event program — seed events plus a per-event reaction (follow-on
-// events, cancels, Stop) derived from a hash of the input and the event's
-// id — and runs it on every engine. des.Heap is the reference; des.Sequential,
-// the conservative engine and the optimistic engine must match its commit
-// log (order, timestamps and the shard state each phase saw) and its
-// Executed count. Every program runs twice: once within the conservative
-// engine's lookahead contract (all four engines), and once with cross-shard
-// and global follow-ons that undercut the lookahead, which forces stragglers
-// into the optimistic engine's speculated past (every engine but the
-// conservative one, for which such a program is a contract violation).
+// events, Stop) derived from a hash of the input and the event's id — and
+// runs it on every engine. des.Heap is the reference; des.Sequential, the
+// conservative engine and the optimistic engine must match its commit log
+// (order, timestamps, the shard state each phase saw, and the Pending
+// count after every commit) and its Executed count. Every program runs
+// twice: once within the conservative engine's lookahead contract (all
+// four engines), and once with cross-shard and global follow-ons that
+// undercut the lookahead, which forces stragglers into the optimistic
+// engine's speculated past (every engine but the conservative one, for
+// which such a program is a contract violation).
 //
 // The seed corpus runs as an ordinary test; explore beyond it with
 //
@@ -115,12 +117,6 @@ func (r *rng) next(n int) int {
 	return int((z ^ z>>31) % uint64(n))
 }
 
-// target is what a cancel needs to know about an earlier event.
-type target struct {
-	shard int // -1 for globals
-	at    des.Time
-}
-
 // runner executes one program on one engine and logs every commit.
 type runner struct {
 	p        *program
@@ -129,8 +125,7 @@ type runner struct {
 	state    []int64 // per-shard state, touched only by that shard's events and by globals
 	log      []string
 	budget   int
-	evs      []target
-	handles  []des.Handle
+	ids      int64 // events scheduled so far; the next event's id
 	phaseFn  des.PhaseFn
 	commitFn des.CommitFn
 }
@@ -143,20 +138,17 @@ func newRunner(p *program, e des.Engine, straggle bool) *runner {
 }
 
 func (r *runner) schedule(kind, shard int, at des.Time) {
-	id := int64(len(r.evs))
+	id := r.ids
+	r.ids++
 	b := id<<8 | int64(shard)
-	var h des.Handle
 	switch kind {
 	case kindPhase:
-		h = r.e.AtShardFn(shard, at, r.phaseFn, nil, b)
+		r.e.AtShardFn(shard, at, r.phaseFn, nil, b)
 	case kindCommit:
-		h = r.e.AtShardCommit(shard, at, r.commitFn, nil, b)
+		r.e.AtShardCommit(shard, at, r.commitFn, nil, b)
 	default:
-		shard = -1
-		h = r.e.At(at, func() { r.global(id) })
+		r.e.At(at, func() { r.global(id) })
 	}
-	r.evs = append(r.evs, target{shard: shard, at: at})
-	r.handles = append(r.handles, h)
 }
 
 // phase may run on a worker: it touches only its shard's state.
@@ -184,8 +176,9 @@ func (r *runner) global(id int64) {
 }
 
 // react is an event's commit-time behaviour: maybe Stop, schedule up to two
-// follow-ons, maybe cancel an earlier event. s is the reacting event's
-// shard, -1 for a global.
+// follow-ons, then log the engine's Pending count, so the store's
+// accounting is compared with des.Heap's at every commit. s is the
+// reacting event's shard, -1 for a global.
 func (r *runner) react(id int64, s int) {
 	g := rng(r.p.seed ^ uint64(id)*0x9e3779b97f4a7c15)
 	now := r.e.Now()
@@ -212,17 +205,7 @@ func (r *runner) react(id int64, s int) {
 		}
 		r.schedule(kind, shard, now+d)
 	}
-	if g.next(4) == 0 && len(r.evs) > 0 {
-		j := g.next(len(r.evs))
-		tg := r.evs[j]
-		// Within the lookahead contract only events that cannot be in
-		// flight are cancelled: globals, the reacting shard's own events,
-		// and events at least the lookahead ahead.
-		if r.straggle || s < 0 || tg.shard < 0 || tg.shard == s || tg.at >= now+r.p.alpha {
-			r.log = append(r.log, fmt.Sprintf("%d cancels %d", id, j))
-			r.e.Cancel(r.handles[j])
-		}
-	}
+	r.log = append(r.log, fmt.Sprintf("%d pending %d", id, r.e.Pending()))
 }
 
 // run schedules the seed events, runs to each horizon, then runs until the
@@ -299,4 +282,62 @@ func FuzzEngineOrder(f *testing.F) {
 			c.balanced(t)
 		}
 	})
+}
+
+// TestScheduleRejectsPastAndNaN: every engine refuses a timestamp before
+// Now() and a NaN one, from each scheduling entry point, and accepts Now()
+// itself and Forever. NaN matters because a NaN that became the clock
+// would make every later "before now" comparison false, switching the
+// causality check off for the rest of the run.
+func TestScheduleRejectsPastAndNaN(t *testing.T) {
+	nan := des.Time(math.NaN())
+	for _, tc := range []struct {
+		name string
+		e    des.Engine
+	}{
+		{"des.Heap", des.NewHeapEngine()},
+		{"des.Sequential", des.NewEngine()},
+		{"conservative", parsim.New(parsim.Options{Lookahead: 1, Shards: 2, Workers: 2})},
+		{"optimistic", optsim.New(optsim.Options{Shards: 2, Workers: 2})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.e
+			noop := func() {}
+			phase := func(any, int64, des.Time) func() { return nil }
+			commit := func(any, int64, des.Time) {}
+			entries := []struct {
+				name string
+				at   func(des.Time)
+			}{
+				{"At", func(x des.Time) { e.At(x, noop) }},
+				{"AtShardFn", func(x des.Time) { e.AtShardFn(1, x, phase, nil, 0) }},
+				{"AtShardCommit", func(x des.Time) { e.AtShardCommit(1, x, commit, nil, 0) }},
+				{"After", func(x des.Time) { e.After(x-e.Now(), noop) }},
+			}
+			panics := func(f func()) (p bool) {
+				defer func() { p = recover() != nil }()
+				f()
+				return false
+			}
+			e.At(1, func() {
+				for _, en := range entries {
+					for _, x := range []des.Time{nan, 0.5, 0} {
+						if !panics(func() { en.at(x) }) {
+							t.Errorf("%s at %v with now %v did not panic", en.name, x, e.Now())
+						}
+					}
+					for _, x := range []des.Time{1, des.Forever} {
+						if panics(func() { en.at(x) }) {
+							t.Errorf("%s at %v with now %v panicked", en.name, x, e.Now())
+						}
+					}
+				}
+			})
+			e.Run()
+			if e.Now() != des.Forever || e.Executed() != 1+2*uint64(len(entries)) {
+				t.Fatalf("after run: now %v, executed %d; want %v, %d",
+					e.Now(), e.Executed(), des.Forever, 1+2*len(entries))
+			}
+		})
+	}
 }

@@ -8,41 +8,52 @@
 //
 // # The body
 //
-// The engine keeps one global event heap with exactly the sequential
-// engine's ordering, and a single driving goroutine that pops and commits
-// events strictly in that order. Parallelism comes from running event
-// *phases* early: a sharded event's body is split by the runtime into a
-// phase (reads and writes only its shard's state, buffers everything else)
-// and a commit closure (applies the buffered global effects).
+// The engine keeps its events in a des.Store — the slab/calendar store
+// des.Sequential drains, so events pop in exactly the sequential engine's
+// order — and a single driving goroutine pops and commits them strictly in
+// that order. Parallelism comes from running event *phases* early: a
+// sharded event's body is split by the runtime into a phase (reads and
+// writes only its shard's state, buffers everything else) and a commit
+// closure (applies the buffered global effects).
 //
 // One launch rule serves both policies. Before every pop, each shard's
 // earliest pending event is handed to a worker if it is a two-phase event
 // (commit-only bodies touch global state and run at their pop), is not the
-// heap top (the driver runs that inline, overlapping the launches),
+// queue head (the driver runs that inline, overlapping the launches),
 // precedes the earliest pending global event, lies within a RunUntil
-// horizon, and lies before the launch limit top+W, where top is the heap
-// top's timestamp and W the policy's window. A per-shard lazy-deletion
-// min-heap tracks the shard minima, so the scan costs O(shards). At most
-// one phase per shard is ever in flight, and never one that follows a
-// pending global, so a global always pops with nothing in flight and may
-// touch every shard.
+// horizon, and lies before the launch limit top+W, where top is the queue
+// head's timestamp and W the policy's window. A per-shard min-heap of
+// (timestamp, sequence, slot) keys tracks the shard minima, so the scan
+// costs O(shards); events leave the store only by pop, and a popped event
+// is always its shard's minimum, so the key heaps pop in step with the
+// store. At most one phase per shard is ever in flight, and never one that
+// follows a pending global, so a global always pops with nothing in flight
+// and may touch every shard.
+//
+// A launched phase stays queued in the store until its pop. Its in-flight
+// state lives in a per-shard record allocated once, in New: a copy of the
+// phase's (fn, a, b, at), the commit and panic value the worker hands
+// back, and a one-slot completion channel. Workers read only that record,
+// never the store, which the driver may grow while phases run, so a launch
+// allocates nothing. Each launch's completion is received exactly once: at
+// the event's pop or at its rollback.
 //
 // The pop loop then proceeds exactly like the sequential engine: take the
-// heap minimum, set the clock to its timestamp, run its commit (waiting
-// for the phase if a worker has it). Events whose phases were never
-// launched run inline on the driver.
+// queue head, set the clock to its timestamp, run its commit (waiting for
+// the phase if a worker has it). Events whose phases were never launched
+// run inline on the driver.
 //
 // # The two policies
 //
 // Phases touch only shard-local state, and shard state is mutated only by
 // that shard's own events, so the one way an early phase can be wrong is
-// new work scheduled into its past — a straggler — or a Cancel of it. Every
-// scheduling entry point checks for one. The policies differ in what the
-// window is and what a straggler means:
+// new work scheduled into its past — a straggler. Every scheduling entry
+// point checks for one. The policies differ in what the window is and what
+// a straggler means:
 //
 //	                   optimistic (New)              conservative (NewConservative)
 //	window W           Options.Window, 0 = unbounded lookahead α, 0 = no early launch
-//	straggler, Cancel  roll the shard back           lookahead-violation panic
+//	straggler          roll the shard back           lookahead-violation panic
 //	Run/RunUntil exit  roll in-flight phases back    withhold their commits
 //	GlobalHorizon      Now()                         max(Now, latest in-flight launch)
 //
@@ -84,7 +95,6 @@
 package optsim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sync"
@@ -102,7 +112,7 @@ type Options struct {
 	// GOMAXPROCS.
 	Workers int
 	// Window is the launch window W: phases launch only within [top,
-	// top+Window) of the heap top. For the optimistic policy it bounds
+	// top+Window) of the queue head. For the optimistic policy it bounds
 	// optimism and zero means unbounded speculation; a finite window trades
 	// exposed parallelism for rollback risk on workloads whose cross-shard
 	// messages routinely land close to the frontier. For the conservative
@@ -128,128 +138,113 @@ type Controller interface {
 	RollbackSpec(shard int)
 }
 
-// event is one scheduled event with its shard binding and pipeline state.
-type event struct {
-	at    des.Time
-	fn    func()       // global body (shard < 0)
-	pfn   des.PhaseFn  // sharded two-phase body
-	cfn   des.CommitFn // sharded commit-only body (never launched early)
-	a     any
-	b     int64
-	seq   uint64
-	pos   int // heap index, -1 when popped or cancelled
-	shard int // -1 for global events
+// flight is a shard's in-flight phase record, allocated once in New and
+// reused by every launch on the shard.
+type flight struct {
+	done chan struct{} // one slot: the worker's completion signal
 
-	// Pipeline state, owned by the driver except as noted.
-	launched bool
-	done     chan struct{} // closed by the worker when the phase finishes
-	commit   func()        // written by the worker before close(done)
-	pval     any           // captured phase panic, re-raised at pop
+	// Written by the driver before the job is handed out; read by the
+	// worker.
+	fn des.PhaseFn
+	a  any
+	b  int64
+	at des.Time
+
+	// Written by the worker before it signals done; read by the driver
+	// after receiving the signal.
+	commit   func()
+	pval     any // captured phase panic, re-raised at pop
 	panicked bool
+
+	// Driver-only.
+	active   bool  // launched and not yet popped or rolled back
+	id       int32 // the launched event's store slot
 	launchNs int64 // wall stamp at launch, 0 unless a probe is installed
 }
 
-// Live reports whether the event is still scheduled.
-func (ev *event) Live() bool { return ev.pos >= 0 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return precedes(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.pos = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.pos = -1
-	*h = old[:n-1]
-	return ev
+// run executes the phase on a worker, capturing a panic so the driver can
+// re-raise it in deterministic pop order (or discard it on rollback — a
+// straggler that would have prevented the panic sequentially prevents it
+// here too, by rolling the panicked speculation back before its pop).
+func (f *flight) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			f.pval, f.panicked = r, true
+		}
+		f.done <- struct{}{}
+	}()
+	f.commit = f.fn(f.a, f.b, f.at)
 }
 
-// precedes reports whether a comes before b in the engine's total event
-// order (timestamp, then scheduling sequence).
-func precedes(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// key is a queued event's place in the total (timestamp, sequence) order
+// plus its store slot.
+type key struct {
+	at  des.Time
+	seq uint64
+	id  int32
+}
+
+func (k key) less(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return a.seq < b.seq
+	return k.seq < o.seq
 }
 
-// lazyHeap is a secondary min-heap of events in (at, seq) order with lazy
-// deletion: events that left the global heap (pos < 0 — popped or
-// cancelled) are discarded when they surface at the top. The engine keeps
-// one per shard (tracking each shard's earliest pending event) and one for
-// globals, so the launch scan never walks the global heap.
-type lazyHeap []*event
+// keyHeap is a binary min-heap of keys. The engine keeps one per shard
+// (tracking each shard's earliest pending event) and one for globals, so
+// the launch scan never walks the store.
+type keyHeap []key
 
-func (h *lazyHeap) push(ev *event) {
-	a := append(*h, ev)
+func (h *keyHeap) push(k key) {
+	a := append(*h, k)
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !precedes(ev, a[p]) {
+		if !k.less(a[p]) {
 			break
 		}
 		a[i] = a[p]
 		i = p
 	}
-	a[i] = ev
+	a[i] = k
 	*h = a
 }
 
-// peek returns the earliest still-scheduled event, discarding dead
-// entries, or nil when none remain.
-func (h *lazyHeap) peek() *event {
+// pop removes and returns the earliest key.
+func (h *keyHeap) pop() key {
 	a := *h
-	for len(a) > 0 {
-		if top := a[0]; top.pos >= 0 {
-			*h = a
-			return top
-		}
-		n := len(a) - 1
-		last := a[n]
-		a[n] = nil
-		a = a[:n]
-		if n > 0 {
-			i := 0
-			for {
-				c := 2*i + 1
-				if c >= n {
-					break
-				}
-				if r := c + 1; r < n && precedes(a[r], a[c]) {
-					c = r
-				}
-				if !precedes(a[c], last) {
-					break
-				}
-				a[i] = a[c]
-				i = c
+	top, n := a[0], len(a)-1
+	last := a[n]
+	a = a[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
 			}
-			a[i] = last
+			if r := c + 1; r < n && a[r].less(a[c]) {
+				c = r
+			}
+			if !a[c].less(last) {
+				break
+			}
+			a[i] = a[c]
+			i = c
 		}
+		a[i] = last
 	}
 	*h = a
-	return nil
+	return top
 }
 
 // Engine is the parallel event executor. It satisfies des.Engine. Its
 // methods must be called from the driving goroutine (or from an event's
 // commit) — the parallelism is internal.
 type Engine struct {
+	store    des.Store
 	now      des.Time
-	seq      uint64
-	heap     eventHeap
 	stopped  bool
 	executed uint64
 
@@ -259,16 +254,16 @@ type Engine struct {
 	ctrl         Controller
 
 	// Worker pool, alive only while Run/RunUntil executes.
-	jobs   chan *event
+	jobs   chan *flight
 	poolWG sync.WaitGroup
 
 	// In-flight phase tracking, owned by the driver.
-	launchedOn []*event // per shard: the launched, not-yet-popped event
-	inFlight   int      // count of launched, not-yet-popped events
+	flights  []flight // per shard
+	inFlight int      // count of active flights
 
 	// Shard minima and pending globals, for the O(shards) launch scan.
-	shardQ  []lazyHeap
-	globals lazyHeap
+	shardQ  []keyHeap
+	globals keyHeap
 
 	stats Stats
 	sink  des.TraceSink
@@ -283,7 +278,7 @@ type Engine struct {
 type Stats struct {
 	Launched    uint64   // speculative phase executions (including re-runs after rollback)
 	Committed   uint64   // speculations whose withheld commit was used at pop
-	RolledBack  uint64   // speculations undone by a straggler, cancel, or run exit
+	RolledBack  uint64   // speculations undone by a straggler or run exit
 	Inline      uint64   // sharded events run inline on the driver at pop
 	Global      uint64   // global events (always inline, always with zero in flight)
 	MaxInFlight int      // most concurrently speculated phases observed
@@ -365,9 +360,9 @@ func (e *Engine) GVT() des.Time { return e.now }
 func (e *Engine) GlobalHorizon() des.Time {
 	h := e.now
 	if e.conservative {
-		for _, le := range e.launchedOn {
-			if le != nil && le.at > h {
-				h = le.at
+		for i := range e.flights {
+			if f := &e.flights[i]; f.active && f.at > h {
+				h = f.at
 			}
 		}
 	}
@@ -394,9 +389,9 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 // ahead of the commit frontier.
 func (e *Engine) gvtLag() des.Time {
 	var lag des.Time
-	for _, le := range e.launchedOn {
-		if le != nil && le.at-e.now > lag {
-			lag = le.at - e.now
+	for i := range e.flights {
+		if f := &e.flights[i]; f.active && f.at-e.now > lag {
+			lag = f.at - e.now
 		}
 	}
 	return lag
@@ -416,17 +411,18 @@ func newEngine(opts Options, conservative bool) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	return &Engine{
+	shards := max(opts.Shards, 1)
+	e := &Engine{
 		conservative: conservative,
 		window:       opts.Window,
 		workers:      w,
-		launchedOn:   make([]*event, shards),
-		shardQ:       make([]lazyHeap, shards),
+		flights:      make([]flight, shards),
+		shardQ:       make([]keyHeap, shards),
 	}
+	for i := range e.flights {
+		e.flights[i].done = make(chan struct{}, 1)
+	}
+	return e
 }
 
 // name prefixes the engine's panic messages with its backend.
@@ -440,59 +436,54 @@ func (e *Engine) name() string {
 // Now returns the current virtual time (the exact GVT).
 func (e *Engine) Now() des.Time { return e.now }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of scheduled events not yet popped, launched
+// ones included.
+func (e *Engine) Pending() int { return e.store.Len() }
 
 // Executed counts events that have run.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// schedule answers the straggler ev may be, then inserts it into the
-// global heap and its shard's (or the globals') minima heap. A
-// same-timestamp arrival is not a straggler: the new event's larger
-// sequence number orders it after the in-flight phase.
-func (e *Engine) schedule(ev *event) des.Handle {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("%s: scheduling event at %v before now %v", e.name(), ev.at, e.now))
-	}
-	if ev.shard >= 0 {
-		if le := e.launchedOn[ev.shard]; le != nil && ev.at < le.at {
-			e.rollback(ev.shard, "shard event", ev.at)
-		}
-	} else if e.inFlight > 0 {
-		for s, le := range e.launchedOn {
-			if le != nil && ev.at < le.at {
-				e.rollback(s, "global event", ev.at)
+// schedule queues ev in the store and in its shard's (or the globals')
+// key heap, then answers the straggler it may be. A same-timestamp arrival
+// is not a straggler: the new event's larger sequence number orders it
+// after the in-flight phase.
+func (e *Engine) schedule(ev des.Event) {
+	id, seq := e.store.Push(e.now, ev)
+	k := key{at: ev.At, seq: seq, id: id}
+	if ev.Shard < 0 {
+		e.globals.push(k)
+		if e.inFlight > 0 {
+			for s := range e.flights {
+				if f := &e.flights[s]; f.active && ev.At < f.at {
+					e.rollback(s, "global event", ev.At)
+				}
 			}
 		}
+		return
 	}
-	ev.seq = e.seq
-	e.seq++
-	if ev.shard >= 0 {
-		e.shardQ[ev.shard].push(ev)
-	} else {
-		e.globals.push(ev)
+	e.shardQ[ev.Shard].push(k)
+	if f := &e.flights[ev.Shard]; f.active && ev.At < f.at {
+		e.rollback(ev.Shard, "shard event", ev.At)
 	}
-	heap.Push(&e.heap, ev)
-	return des.HandleFor(ev)
 }
 
 // At schedules fn as a global event: it runs alone on the driver, with no
 // phases in flight.
-func (e *Engine) At(t des.Time, fn func()) des.Handle {
-	return e.schedule(&event{at: t, fn: fn, shard: -1})
+func (e *Engine) At(t des.Time, fn func()) {
+	e.schedule(des.Event{At: t, Shard: -1, Fn: fn})
 }
 
 func (e *Engine) checkShard(shard int) {
-	if shard < 0 || shard >= len(e.launchedOn) {
-		panic(fmt.Sprintf("%s: shard %d out of range [0,%d)", e.name(), shard, len(e.launchedOn)))
+	if shard < 0 || shard >= len(e.flights) {
+		panic(fmt.Sprintf("%s: shard %d out of range [0,%d)", e.name(), shard, len(e.flights)))
 	}
 }
 
 // AtShardFn schedules a two-phase event on a shard from a preallocated
 // PhaseFn.
-func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) des.Handle {
+func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) {
 	e.checkShard(shard)
-	return e.schedule(&event{at: t, pfn: fn, a: a, b: b, shard: shard})
+	e.schedule(des.Event{At: t, Shard: shard, Phase: fn, A: a, B: b})
 }
 
 // AtShardCommit schedules a sharded event whose entire body runs at commit
@@ -500,40 +491,17 @@ func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64
 // scan never runs a later same-shard phase past it, and an arrival in an
 // in-flight phase's past is a straggler) but is never handed to a worker:
 // its body may touch global state, exactly like any commit.
-func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) des.Handle {
+func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) {
 	e.checkShard(shard)
-	return e.schedule(&event{at: t, cfn: fn, a: a, b: b, shard: shard})
+	e.schedule(des.Event{At: t, Shard: shard, Commit: fn, A: a, B: b})
 }
 
 // After schedules fn to run d seconds from now as a global event.
-func (e *Engine) After(d des.Time, fn func()) des.Handle {
-	if d < 0 {
+func (e *Engine) After(d des.Time, fn func()) {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("%s: negative delay %v", e.name(), d))
 	}
-	return e.At(e.now+d, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an event whose phase is in
-// flight is a straggler: the optimistic policy rolls the phase back first,
-// the conservative one panics (the cancellation arrived later than the
-// lookahead promised possible). Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(h des.Handle) {
-	ref := h.EventRef()
-	if ref == nil {
-		return
-	}
-	ev, ok := ref.(*event)
-	if !ok {
-		panic(e.name() + ": Cancel of a handle from a different engine")
-	}
-	if ev.pos < 0 {
-		return
-	}
-	if ev.launched {
-		e.rollback(ev.shard, "Cancel", e.now)
-	}
-	heap.Remove(&e.heap, ev.pos)
+	e.At(e.now+d, fn)
 }
 
 // Stop makes Run return before the next pop.
@@ -548,7 +516,7 @@ func (e *Engine) Run() {
 	e.stopped = false
 	defer e.shutdownPool()
 	defer e.rollbackAll()
-	for !e.stopped && len(e.heap) > 0 {
+	for !e.stopped && e.store.Len() > 0 {
 		e.step(des.Forever)
 	}
 }
@@ -559,7 +527,10 @@ func (e *Engine) RunUntil(t des.Time) {
 	e.stopped = false
 	defer e.shutdownPool()
 	defer e.rollbackAll()
-	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= t {
+	for !e.stopped {
+		if id, ok := e.store.Peek(); !ok || e.store.Event(id).At > t {
+			break
+		}
 		e.step(t)
 	}
 	if e.now < t {
@@ -568,66 +539,57 @@ func (e *Engine) RunUntil(t des.Time) {
 }
 
 // step launches eligible phases, then pops and commits the next event in
-// heap order. horizon (inclusive) bounds execution for RunUntil.
+// (timestamp, sequence) order. horizon (inclusive) bounds execution for
+// RunUntil.
 func (e *Engine) step(horizon des.Time) {
 	e.launch(horizon)
-	ev := heap.Pop(&e.heap).(*event)
-	e.now = ev.at // the exact GVT: nothing at or below this can roll back
+	ev, _ := e.store.Pop()
+	e.now = ev.At // the exact GVT: nothing at or below this can roll back
 	e.executed++
 
-	if ev.shard < 0 {
+	if ev.Shard < 0 {
+		e.globals.pop()
 		// The launch rule never runs a phase past the earliest pending
 		// global, and schedule answers globals that a later one would
 		// precede — so a popping global always finds zero phases in flight.
 		if e.inFlight > 0 {
-			e.drainLaunched()
-			panic(fmt.Sprintf("%s: internal: global event at t=%v popped with %d phases in flight", e.name(), ev.at, e.inFlight))
+			panic(fmt.Sprintf("%s: internal: global event at t=%v popped with %d phases in flight", e.name(), ev.At, e.inFlight))
 		}
 		e.stats.Global++
-		ev.fn()
+		ev.Fn()
 		if e.probe != nil {
-			e.probe.EventExecuted(ev.shard, ev.at, len(e.heap))
+			e.probe.EventExecuted(ev.Shard, ev.At, e.store.Len())
 		}
 		return
 	}
+	k := e.shardQ[ev.Shard].pop()
 
 	if e.sink != nil {
-		e.sink.PhaseStart(ev.shard, ev.at)
+		e.sink.PhaseStart(ev.Shard, ev.At)
 	}
 	var commit func()
 	var stallNs int64
-	launched := ev.launched
+	f := &e.flights[ev.Shard]
+	launched := f.active
 	if launched {
-		if e.launchedOn[ev.shard] != ev {
-			panic(e.name() + ": internal: popped a launched event that is not its shard's in-flight phase")
+		if f.id != k.id {
+			panic(e.name() + ": internal: shard event popped past its in-flight phase")
 		}
-		e.launchedOn[ev.shard] = nil
-		e.inFlight--
-		if e.probe != nil {
-			t0 := e.probe.WallNow()
-			<-ev.done
-			stallNs = e.probe.WallNow() - t0
-		} else {
-			<-ev.done
-		}
-		if ev.panicked {
+		stallNs = e.land(ev.Shard)
+		if f.panicked {
 			// Re-raise deterministically in pop order, not worker order.
 			// No PhaseDone: the sequential engine panics out of the phase
 			// body before reaching its PhaseDone too.
-			e.drainLaunched()
-			panic(ev.pval)
+			panic(f.pval)
 		}
 		e.stats.Committed++
-		commit = ev.commit
+		commit = f.commit
 	} else {
-		if e.launchedOn[ev.shard] != nil {
-			panic(e.name() + ": internal: shard event popped past its in-flight phase")
-		}
 		e.stats.Inline++
-		if ev.cfn != nil {
-			ev.cfn(ev.a, ev.b, ev.at)
+		if ev.Commit != nil {
+			ev.Commit(ev.A, ev.B, ev.At)
 		} else {
-			commit = ev.pfn(ev.a, ev.b, ev.at)
+			commit = ev.Phase(ev.A, ev.B, ev.At)
 		}
 	}
 	if commit != nil {
@@ -637,30 +599,31 @@ func (e *Engine) step(horizon des.Time) {
 		// Fossil collection: the commit frontier passed this speculation,
 		// so its snapshot can never be needed again.
 		if e.ctrl != nil {
-			e.ctrl.CommitSpec(ev.shard)
+			e.ctrl.CommitSpec(ev.Shard)
 		}
 		if e.ssink != nil {
-			e.ssink.SpecCommit(ev.shard, ev.at)
+			e.ssink.SpecCommit(ev.Shard, ev.At)
 		}
 	}
 	if e.sink != nil {
-		e.sink.PhaseDone(ev.shard, ev.at)
+		e.sink.PhaseDone(ev.Shard, ev.At)
 	}
 	if e.probe != nil {
 		if launched {
-			e.probe.PhaseWall(ev.shard, ev.at, e.probe.WallNow()-ev.launchNs, stallNs, !e.conservative)
+			e.probe.PhaseWall(ev.Shard, ev.At, e.probe.WallNow()-f.launchNs, stallNs, !e.conservative)
 		}
-		e.probe.EventExecuted(ev.shard, ev.at, len(e.heap))
+		e.probe.EventExecuted(ev.Shard, ev.At, e.store.Len())
 	}
 }
 
 // launch applies the launch rule (see the package comment) to every shard
 // with nothing in flight.
 func (e *Engine) launch(horizon des.Time) {
-	if len(e.launchedOn) < 2 || len(e.heap) < 2 {
+	if len(e.flights) < 2 || e.store.Len() < 2 {
 		return
 	}
-	top := e.heap[0]
+	topID, _ := e.store.Peek()
+	topAt := e.store.Event(topID).At
 	limit := des.Forever
 	switch {
 	case e.conservative && e.window <= 0:
@@ -668,36 +631,36 @@ func (e *Engine) launch(horizon des.Time) {
 	case !e.conservative && e.ctrl == nil:
 		return // nothing could undo a speculation
 	case e.window > 0:
-		limit = top.at + e.window
+		limit = topAt + e.window
 	}
-	minGlobal := e.globals.peek()
-	for s := range e.shardQ {
-		if e.launchedOn[s] != nil {
+	for s, q := range e.shardQ {
+		if len(q) == 0 || e.flights[s].active {
 			continue
 		}
-		ev := e.shardQ[s].peek()
-		if ev == nil || ev == top || ev.cfn != nil {
+		k := q[0]
+		if k.id == topID || k.at >= limit || k.at > horizon {
 			continue
 		}
-		if ev.at >= limit || ev.at > horizon {
+		if len(e.globals) > 0 && e.globals[0].less(k) {
 			continue
 		}
-		if minGlobal != nil && precedes(minGlobal, ev) {
-			continue
+		if ev := e.store.Event(k.id); ev.Commit == nil {
+			e.launchPhase(s, k.id, ev)
 		}
-		e.launchEvent(ev)
 	}
 	if e.conservative && e.inFlight == 0 && e.probe != nil {
-		// The heap held work beyond the top but nothing could overlap the
-		// coming pop: the lookahead window stalled the pipeline this step.
-		e.probe.WindowStall(top.at)
+		// The queue held work beyond the head but nothing could overlap
+		// the coming pop: the lookahead window stalled the pipeline this
+		// step.
+		e.probe.WindowStall(topAt)
 	}
 }
 
-// launchEvent hands one event's phase to the worker pool.
-func (e *Engine) launchEvent(ev *event) {
+// launchPhase hands shard s's earliest event, ev in store slot id, to the
+// worker pool.
+func (e *Engine) launchPhase(s int, id int32, ev *des.Event) {
 	if e.jobs == nil {
-		e.jobs = make(chan *event, len(e.launchedOn))
+		e.jobs = make(chan *flight, len(e.flights))
 		for w := 0; w < e.workers; w++ {
 			e.poolWG.Add(1)
 			//charmvet:parsim (phase workers execute shard-disjoint events; a straggler rolls back or panics)
@@ -705,65 +668,71 @@ func (e *Engine) launchEvent(ev *event) {
 		}
 	}
 	if e.ctrl != nil {
-		e.ctrl.BeginSpec(ev.shard)
+		e.ctrl.BeginSpec(s)
 	}
-	ev.launched = true
-	ev.done = make(chan struct{})
-	e.launchedOn[ev.shard] = ev
+	f := &e.flights[s]
+	f.fn, f.a, f.b, f.at = ev.Phase, ev.A, ev.B, ev.At
+	f.commit, f.pval, f.panicked = nil, nil, false
+	f.active, f.id = true, id
 	e.inFlight++
 	if e.inFlight > e.stats.MaxInFlight {
 		e.stats.MaxInFlight = e.inFlight
 	}
-	if lag := ev.at - e.now; lag > e.stats.MaxGVTLag {
+	if lag := f.at - e.now; lag > e.stats.MaxGVTLag {
 		e.stats.MaxGVTLag = lag
 	}
 	e.stats.Launched++
 	if e.ssink != nil {
-		e.ssink.SpecLaunch(ev.shard, ev.at)
+		e.ssink.SpecLaunch(s, f.at)
 	}
 	if e.probe != nil {
-		ev.launchNs = e.probe.WallNow()
+		f.launchNs = e.probe.WallNow()
 		if !e.conservative {
-			e.probe.SpecLaunched(ev.shard, ev.at, ev.at-e.now)
+			e.probe.SpecLaunched(s, f.at, f.at-e.now)
 		}
 	}
-	e.jobs <- ev
+	e.jobs <- f
+}
+
+// land receives shard s's completion signal — the one receive its launch
+// gets — and retires the flight. It returns how long the driver waited (0
+// without a probe).
+func (e *Engine) land(s int) int64 {
+	f := &e.flights[s]
+	var waitNs int64
+	if e.probe != nil {
+		t0 := e.probe.WallNow()
+		<-f.done
+		waitNs = e.probe.WallNow() - t0
+	} else {
+		<-f.done
+	}
+	f.active = false
+	e.inFlight--
+	return waitNs
 }
 
 // rollback undoes shard s's in-flight phase because what (at t) reached
 // its past: wait for the phase, discard its withheld commit (the sends it
 // buffered never entered the network — dropping the closure is the
 // anti-message), and let the controller restore the shard-local state the
-// phase mutated. The event itself stays scheduled and runs again at or
+// phase mutated. The event itself stays queued and runs again at or
 // before its pop. Under the conservative policy the lookahead promised
 // this impossible, so it panics instead.
 func (e *Engine) rollback(s int, what string, t des.Time) {
-	ev := e.launchedOn[s]
+	f := &e.flights[s]
 	if e.conservative {
 		panic(fmt.Sprintf("parsim: lookahead violation: %s at t=%v reached shard %d's in-flight phase at t=%v",
-			what, t, s, ev.at))
+			what, t, s, f.at))
 	}
-	var waitNs int64
-	if e.probe != nil {
-		t0 := e.probe.WallNow()
-		<-ev.done
-		waitNs = e.probe.WallNow() - t0
-	} else {
-		<-ev.done
-	}
-	e.launchedOn[s] = nil
-	e.inFlight--
-	ev.launched = false
-	ev.done = nil
-	ev.commit = nil
-	ev.pval, ev.panicked = nil, false
+	waitNs := e.land(s)
 	e.ctrl.RollbackSpec(s)
 	e.stats.RolledBack++
 	if e.ssink != nil {
-		e.ssink.SpecRollback(s, ev.at)
+		e.ssink.SpecRollback(s, f.at)
 	}
 	if e.probe != nil {
-		e.probe.SpecRolledBack(s, ev.at, waitNs)
+		e.probe.SpecRolledBack(s, f.at, waitNs)
 	}
 }
 
@@ -773,8 +742,8 @@ func (e *Engine) rollbackAll() {
 	if e.conservative {
 		return
 	}
-	for s, le := range e.launchedOn {
-		if le != nil {
+	for s := range e.flights {
+		if e.flights[s].active {
 			e.rollback(s, "run exit", e.now)
 		}
 	}
@@ -783,37 +752,15 @@ func (e *Engine) rollbackAll() {
 // worker drains the job channel, running one phase at a time.
 func (e *Engine) worker() {
 	defer e.poolWG.Done()
-	for ev := range e.jobs {
-		runPhase(ev)
+	for f := range e.jobs {
+		f.run()
 	}
 }
 
-// runPhase executes one event's phase, capturing panics so the driver can
-// re-raise them in deterministic pop order (or discard them on rollback —
-// a straggler that would have prevented the panic sequentially prevents it
-// here too, by rolling the panicked speculation back before its pop).
-func runPhase(ev *event) {
-	defer close(ev.done)
-	defer func() {
-		if r := recover(); r != nil {
-			ev.pval, ev.panicked = r, true
-		}
-	}()
-	ev.commit = ev.pfn(ev.a, ev.b, ev.at)
-}
-
-// drainLaunched waits for every in-flight phase; their cached commits stay
-// attached to their (still-pending) events.
-func (e *Engine) drainLaunched() {
-	for _, ev := range e.heap {
-		if ev != nil && ev.launched {
-			<-ev.done
-		}
-	}
-}
-
-// shutdownPool stops the workers after finishing all handed-out phases, so
-// no goroutine outlives Run/RunUntil.
+// shutdownPool stops the workers after they finish every handed-out
+// phase, so no goroutine outlives Run/RunUntil. A withheld phase's
+// completion signal stays in its one-slot channel for the pop that
+// consumes it.
 func (e *Engine) shutdownPool() {
 	if e.jobs == nil {
 		return
@@ -821,5 +768,4 @@ func (e *Engine) shutdownPool() {
 	close(e.jobs)
 	e.poolWG.Wait()
 	e.jobs = nil
-	e.drainLaunched()
 }

@@ -6,19 +6,19 @@
 // internal/des.Sequential.
 //
 // It is the conservative policy over internal/optsim's engine core, which
-// owns the event heap, the launch scan, the worker pool and the commit
+// owns the event store, the launch scan, the worker pool and the commit
 // pipeline (see that package's comment for the launch rule and the
 // two-policy table). The policy is:
 //
 //   - Launch limit top+α: a shard's earliest pending phase runs early only
-//     inside the lookahead window [t0, t0+α) opened by the heap top, where
+//     inside the lookahead window [t0, t0+α) opened by the queue head, where
 //     α is the minimum cross-shard latency of the machine model. α = 0
 //     launches nothing early.
 //   - No speculation controller: inside the window no straggler can
 //     arrive, so nothing is ever rolled back. Wherever the optimistic
 //     policy would roll back — new work scheduled before an in-flight
-//     phase, or a Cancel of one — the lookahead promise was broken, and the
-//     engine panics loudly rather than silently diverging.
+//     phase — the lookahead promise was broken, and the engine panics
+//     loudly rather than silently diverging.
 //   - Stop withholds, rather than rolls back, the commits of phases still
 //     in flight: global state stops exactly where the sequential engine
 //     would, and the commits apply if a later Run pops the events.
@@ -111,21 +111,19 @@ func (e *Engine) SetProbe(p des.Probe) { e.core.SetProbe(p) }
 // The des.Engine methods run on the core; see des.Engine for their
 // contracts.
 
-func (e *Engine) Now() des.Time       { return e.core.Now() }
-func (e *Engine) Pending() int        { return e.core.Pending() }
-func (e *Engine) Executed() uint64    { return e.core.Executed() }
-func (e *Engine) Cancel(h des.Handle) { e.core.Cancel(h) }
-func (e *Engine) Stop()               { e.core.Stop() }
-func (e *Engine) Run()                { e.core.Run() }
-func (e *Engine) RunUntil(t des.Time) { e.core.RunUntil(t) }
+func (e *Engine) Now() des.Time               { return e.core.Now() }
+func (e *Engine) Pending() int                { return e.core.Pending() }
+func (e *Engine) Executed() uint64            { return e.core.Executed() }
+func (e *Engine) Stop()                       { e.core.Stop() }
+func (e *Engine) Run()                        { e.core.Run() }
+func (e *Engine) RunUntil(t des.Time)         { e.core.RunUntil(t) }
+func (e *Engine) At(t des.Time, fn func())    { e.core.At(t, fn) }
+func (e *Engine) After(d des.Time, fn func()) { e.core.After(d, fn) }
 
-func (e *Engine) At(t des.Time, fn func()) des.Handle    { return e.core.At(t, fn) }
-func (e *Engine) After(d des.Time, fn func()) des.Handle { return e.core.After(d, fn) }
-
-func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) des.Handle {
-	return e.core.AtShardFn(shard, t, fn, a, b)
+func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) {
+	e.core.AtShardFn(shard, t, fn, a, b)
 }
 
-func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) des.Handle {
-	return e.core.AtShardCommit(shard, t, fn, a, b)
+func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) {
+	e.core.AtShardCommit(shard, t, fn, a, b)
 }

@@ -15,8 +15,8 @@ func mkEngine(shards, workers int) *Engine {
 }
 
 // atShard schedules a one-off two-phase closure through des.ClosurePhase.
-func atShard(e *Engine, shard int, t des.Time, fn func() func()) des.Handle {
-	return e.AtShardFn(shard, t, des.ClosurePhase, fn, 0)
+func atShard(e *Engine, shard int, t des.Time, fn func() func()) {
+	e.AtShardFn(shard, t, des.ClosurePhase, fn, 0)
 }
 
 // TestCommitOrderMatchesSequential schedules events across shards inside
@@ -148,38 +148,6 @@ func TestGlobalEventsRunSolo(t *testing.T) {
 			t.Fatalf("order %v, want %v", order, want)
 		}
 	}
-}
-
-// TestCancelPendingEvent works like the sequential engine; cancelling an
-// event whose phase is in flight is a lookahead violation and panics.
-func TestCancelPendingEvent(t *testing.T) {
-	e := mkEngine(2, 2)
-	var fired bool
-	h := atShard(e, 1, 2.0, func() func() { fired = true; return nil })
-	atShard(e, 0, 0.1, func() func() {
-		return func() { e.Cancel(h) }
-	})
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event still ran")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after run, want 0", e.Pending())
-	}
-}
-
-func TestCancelInFlightPanics(t *testing.T) {
-	e := mkEngine(2, 2)
-	h := atShard(e, 1, 0.101, func() func() { return nil })
-	atShard(e, 0, 0.1, func() func() {
-		return func() { e.Cancel(h) }
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic cancelling an in-flight event")
-		}
-	}()
-	e.Run()
 }
 
 // TestRunUntil bounds launches by the horizon and advances the clock.

@@ -27,11 +27,18 @@ for procs in 1 2 8; do
 done
 
 # Engine conformance fuzzing, bounded: generated event programs (timestamp
-# ties, cancels, Stop and RunUntil, global/sharded/commit-only events, and
-# forced stragglers for the optimistic policy) must commit in des.Heap's
-# order, with its Executed count, on des.Sequential and on the parallel
-# engine core under both policies. The seed corpus also runs in go test.
+# ties, Stop and RunUntil, global/sharded/commit-only events, and forced
+# stragglers for the optimistic policy) must commit in des.Heap's order,
+# with its Pending count after every commit and its Executed count, on
+# des.Sequential and on the parallel engine core under both policies. The
+# seed corpus also runs in go test.
 go test -run '^$' -fuzz FuzzEngineOrder -fuzztime 30s ./internal/optsim/
+
+# The core reuses one in-flight record and one completion channel per
+# shard across launches, so a missing happens-before edge shows up only
+# across relaunches, which a single race-detector pass can miss. Repeat
+# the engine packages' tests under -race.
+go test -race -count=10 ./internal/des/ ./internal/optsim/ ./internal/parsim/
 
 # Telemetry gate: LeanMD/PDES/Stencil2D digests must be byte-identical with
 # the telemetry probe attached vs detached on all three backends — the
