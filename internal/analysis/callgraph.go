@@ -63,7 +63,7 @@ const (
 	RootBoot     RootKind = "boot/driver func"  // func(*charm.Ctx) shape, address-taken
 	RootEventFn  RootKind = "engine event body" // des.PhaseFn / des.CommitFn shape
 	RootPup      RootKind = "Pup method"
-	RootCommit   RootKind = "commit closure"    // argument to Ctx.Defer / Ctx.emit
+	RootCommit   RootKind = "commit closure"    // argument to Ctx.Defer
 	RootSchedule RootKind = "scheduled closure" // argument to an engine At/After call
 	RootInit     RootKind = "package init"      // init func: runs at program start, taints every run
 )
@@ -716,8 +716,9 @@ func (g *Graph) markFuncArg(n *Node, arg ast.Expr, kind RootKind) {
 }
 
 // scheduleCallKind reports whether call schedules its function-valued
-// arguments to run later as events: Ctx.Defer/emit (commit closures) and
-// the engine's At/After family (timer and event bodies).
+// arguments to run later as events: Ctx.Defer (commit closures; the
+// runtime's own closure effects go through it too) and the engine's
+// At/After family (timer and event bodies).
 func scheduleCallKind(info *types.Info, call *ast.CallExpr) (RootKind, bool) {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -729,7 +730,7 @@ func scheduleCallKind(info *types.Info, call *ast.CallExpr) (RootKind, bool) {
 	}
 	name := sel.Sel.Name
 	switch name {
-	case "Defer", "emit":
+	case "Defer":
 		if isCtxPtr(recv) {
 			return RootCommit, true
 		}

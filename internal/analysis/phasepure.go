@@ -109,7 +109,7 @@ func (p *Pass) flagGlobalWrite(lhs ast.Expr, chain []string) {
 }
 
 // checkCommitClosures enforces Rule B on one entry-method root: find the
-// chare parameter (and its type-asserted aliases), then flag Defer/emit
+// chare parameter (and its type-asserted aliases), then flag Defer
 // closures that reference any of them.
 func (p *Pass) checkCommitClosures(n *Node) {
 	objVars := p.chareParamAliases(n)

@@ -27,8 +27,8 @@ import (
 //     (both build longer-lived structures);
 //
 //   - captured by a function literal that itself escapes: passed to any
-//     call other than Ctx.Defer / Ctx.emit (whose closures the runtime
-//     runs and drops within the same delivery), or stored as above.
+//     call other than Ctx.Defer (whose closures the runtime runs and
+//     drops within the same delivery), or stored as above.
 //
 // Method calls *on* a pooled object (ctx.Send(...)) and plain argument
 // passing (helper(ctx, ...)) are not stores; passing the value on keeps it
@@ -117,10 +117,10 @@ func (p *Pass) flagPooledIdent(e ast.Expr, format string, args ...any) {
 }
 
 // checkClosureArgs flags function-literal call arguments that capture a
-// pooled variable, unless the callee is Ctx.Defer / Ctx.emit.
+// pooled variable, unless the callee is Ctx.Defer.
 func (p *Pass) checkClosureArgs(n *Node, call *ast.CallExpr) {
 	if kind, ok := scheduleCallKind(p.Info, call); ok && kind == RootCommit {
-		return // Defer/emit closures run and are dropped within the delivery
+		return // Defer closures run and are dropped within the delivery
 	}
 	for _, arg := range call.Args {
 		lit, ok := unparen(arg).(*ast.FuncLit)

@@ -22,16 +22,45 @@ func (o *pingPair) Pup(p *pup.Pup) {
 const epPingPair EP = 0
 
 // TestSteadyStateAllocsPerEvent pins the end-to-end delivery path at well
-// under one heap allocation per engine event. The budget guards the
-// pooling that makes paper-scale runs fit in memory: pooled messages,
-// the per-PE recycled Ctx, the preallocated commit closures, and the
-// engine's slab-allocated event store. The ISSUE acceptance bound is 2
-// allocs/event; the runtime path measures ~0, so 0.5 leaves headroom for
-// incidental warmup while still catching any reintroduced per-event
-// allocation.
+// under one heap allocation per engine event, on every backend that
+// claims it. The budget guards the pooling that makes paper-scale runs fit
+// in memory: pooled messages, the per-PE recycled Ctx and its effect
+// buffer (sends are data records, not closures), the preallocated commit
+// closures, and the engines' slab-allocated event store. The path
+// measures under 0.002 on sequential, parallel and optimistic; 0.05
+// catches any reintroduced per-delivery or per-send allocation. The heap
+// engine boxes every event into its container/heap and is logged only.
+// Under the race detector sync.Pool drops a share of recycled messages by
+// design (about 0.13 allocs/event here), so the bound there is 0.5.
 func TestSteadyStateAllocsPerEvent(t *testing.T) {
+	for _, tc := range []struct {
+		backend string
+		pinned  bool
+	}{
+		{"sequential", true},
+		{"parallel", true},
+		{"optimistic", true},
+		{"heap", false},
+	} {
+		t.Run(tc.backend, func(t *testing.T) {
+			perEvent, ev := pingPairAllocs(t, tc.backend)
+			t.Logf("%s: steady-state allocs/event = %.4f over %d events", tc.backend, perEvent, ev)
+			bound := 0.05
+			if raceEnabled {
+				bound = 0.5
+			}
+			if tc.pinned && perEvent > bound {
+				t.Fatalf("%s: steady-state allocs/event = %.4f, want <= %v (message/Ctx/effect-buffer/commit pooling regressed)", tc.backend, perEvent, bound)
+			}
+		})
+	}
+}
+
+// pingPairAllocs runs the ping pair on backend and returns the heap
+// allocations per executed engine event, and the event count.
+func pingPairAllocs(t *testing.T, backend string) (float64, uint64) {
 	const rounds = 50000
-	rt := testRT(2)
+	rt := backendRT(2, backend)
 	var arr *Array
 	handlers := []Handler{
 		epPingPair: func(obj Chare, ctx *Ctx, msg any) {
@@ -59,11 +88,7 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 	if ev == 0 {
 		t.Fatal("no events executed")
 	}
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(ev)
-	t.Logf("steady-state allocs/event = %.4f over %d events", perEvent, ev)
-	if perEvent > 0.5 {
-		t.Fatalf("steady-state allocs/event = %.3f, want <= 0.5 (message/Ctx/commit pooling regressed)", perEvent)
-	}
+	return float64(after.Mallocs-before.Mallocs) / float64(ev), ev
 }
 
 // TestResolveAllocFree pins the location-manager lookup (the per-send hot

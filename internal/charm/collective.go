@@ -98,11 +98,7 @@ type bcastMsg struct {
 // a spanning tree over the active PEs.
 func (c *Ctx) Broadcast(arr *Array, ep EP, payload any, opts *SendOpts) {
 	size := c.msgSize(payload, opts)
-	var prio int64
-	if opts != nil {
-		prio = opts.Prio
-	}
-	bm := bcastMsg{arr: arr.id, ep: ep, payload: payload, size: size, prio: prio}
+	bm := bcastMsg{arr: arr.id, ep: ep, payload: payload, size: size, prio: opts.prio()}
 	if c.pe == 0 {
 		c.rt.bcastFanout(c, bm)
 		return
@@ -124,9 +120,9 @@ func (rt *Runtime) bcastFanout(ctx *Ctx, bm bcastMsg) {
 		}
 	}
 	if ctx.replay {
-		// The fan-out's deliveries committed long ago; re-allocating them
-		// into a discarded effect list would leak pooled messages, and the
-		// current element population may differ from the original run's.
+		// The fan-out's deliveries committed long ago: building messages
+		// only to drop them would leak pooled messages, and the current
+		// element population may differ from the original run's.
 		return
 	}
 	// Local deliveries: one scheduler message per element, pooled and
@@ -147,16 +143,7 @@ func (rt *Runtime) bcastFanout(ctx *Ctx, bm bcastMsg) {
 		m.prio = bm.prio
 		m.size = bm.size
 		m.srcPE = p
-		if ctx.fx == nil {
-			rt.inflight++
-			rt.enqueue(m, p)
-			continue
-		}
-		ctx.fx.fns = append(ctx.fx.fns, func() {
-			rt.inflight++
-			//charmvet:retain (effect closure: runs at this delivery's commit, before the message could be recycled)
-			rt.enqueue(m, p)
-		})
+		ctx.emitMsg(fxEnqueue, m)
 	}
 }
 
@@ -267,25 +254,21 @@ func (c *Ctx) Contribute(value any, reducer Reducer, cb Callback) {
 	if el == nil {
 		panic("charm: Contribute outside an array element")
 	}
-	rt := c.rt
 	gen := el.redGen
 	el.redGen++
 	c.Charge(2e-7) // contribution bookkeeping
-	at := c.Now()
-	// The merge touches the array's reduction ring — global state — so in
-	// buffered mode it is a deferred effect; the contribution's timestamp
-	// is captured now, at the virtual moment the element contributed.
-	if c.fx == nil {
-		rt.contribute(el, gen, value, reducer, cb, at)
-		return
-	}
-	c.fx.fns = append(c.fx.fns, func() { rt.contribute(el, gen, value, reducer, cb, at) })
+	// The merge touches the array's reduction ring — global state — so it
+	// is an effect, stamped at the virtual moment the element contributed.
+	// A phase buffers its arguments as data, so recording allocates nothing.
+	c.record(effect{kind: fxContribute, at: c.Now()},
+		&contribution{el: el, gen: gen, value: value, reducer: reducer, cb: cb})
 }
 
 // contribute is the commit half of Contribute.
-func (rt *Runtime) contribute(el *element, gen uint64, value any, reducer Reducer, cb Callback, at des.Time) {
+func (rt *Runtime) contribute(r *contribution, at des.Time) {
+	el, gen, value := r.el, r.gen, r.value
 	a := rt.arrays[el.key.array]
-	run := a.redRunFor(gen, reducer, cb)
+	run := a.redRunFor(gen, r.reducer, r.cb)
 	if run.ranked {
 		run.vals[el.redRank] = value
 		run.have[el.redRank] = true

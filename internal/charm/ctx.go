@@ -3,19 +3,48 @@ package charm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"charmgo/internal/des"
 	"charmgo/internal/pup"
 )
 
-// fxList is an ordered buffer of deferred global effects. Element-handler
-// contexts on the parallel backend collect their globally visible actions
-// (sends, reduction merges, statistics) here during the concurrent phase;
-// the commit replays them in call order, exactly reproducing the
-// sequential interleaving.
-type fxList struct {
-	fns []func()
+// effect is one global effect, buffered in an element handler's phase
+// until the delivery's commit applies it (see Ctx.record). Sends, local
+// enqueues and contributions are data; Defer and the rare structural and
+// load-balancing effects are closures.
+type effect struct {
+	kind uint8    // fxFunc, fxSend, fxEnqueue or fxContribute
+	i    int32    // fxContribute: index into fxBuf.red
+	m    *message // fxSend, fxEnqueue
+	at   des.Time // fxSend, fxContribute
+	fn   func()   // fxFunc
 }
+
+const (
+	fxFunc       = iota // run fn
+	fxSend              // rt.send(m, at)
+	fxEnqueue           // local broadcast delivery: enqueue m on m.srcPE
+	fxContribute        // merge the contribution into its reduction at at
+)
+
+// contribution holds the arguments of one Contribute until it applies.
+type contribution struct {
+	el      *element
+	gen     uint64
+	value   any
+	reducer Reducer
+	cb      Callback
+}
+
+// fxBuf is a phase's effect buffer. It is pooled, not kept per PE: only
+// phases in flight hold one, so idle virtual PEs cost nothing.
+type fxBuf struct {
+	fx  []effect
+	red []contribution
+}
+
+var fxPool = sync.Pool{New: func() any { return new(fxBuf) }}
 
 // Ctx is the execution context of a running entry method (or PE handler).
 // It accumulates the method's modeled compute cost and stamps outgoing
@@ -28,13 +57,17 @@ type Ctx struct {
 	elapsed des.Time // cost accumulated so far in this execution
 	loadFS  int64    // speed-normalized compute so far, integer femtoseconds
 	exitReq bool
-	fx      *fxList // nil: immediate mode; non-nil: buffered (parallel phase)
-	phase   bool    // true while an element handler runs (vs commit context)
-	cause   uint64  // trace ID of the send that triggered this execution
+	cause   uint64 // trace ID of the send that triggered this execution
+
+	// buf is non-nil exactly while an element handler's phase runs: its
+	// effects buffer there until the delivery's commit. Every other
+	// context (PE handlers, driver and boot code, effects being flushed)
+	// is a commit context and applies each effect at once.
+	buf *fxBuf
 
 	// Coast-forward replay mode (optimistic backend, speculation.go): the
 	// handler re-executes a committed delivery purely to reconstruct chare
-	// state. Every global effect buffers into fx and is discarded, sends
+	// state. Every global effect is dropped where it is emitted, sends
 	// build no messages, and location resolution replays the recorded
 	// answers in res[resIdx:] instead of reading the live caches.
 	replay bool
@@ -83,54 +116,73 @@ func (p *peState) releaseCtx(ctx *Ctx) {
 	p.ctxSpare = ctx
 }
 
-// emit runs fn now in immediate mode, or appends it to the effect buffer
-// in buffered mode.
-func (c *Ctx) emit(fn func()) {
-	if c.fx == nil {
-		fn()
-		return
+// record is the one place an effect is dropped (coast-forward replay: the
+// original committed long ago), buffered (an element handler's phase, so
+// nothing it emits, an Insert included, is visible to the rest of the
+// handler) or applied (a commit context). r carries a contribution.
+func (c *Ctx) record(e effect, r *contribution) {
+	switch b := c.buf; {
+	case c.replay:
+	case b != nil:
+		if r != nil {
+			e.i = int32(len(b.red))
+			b.red = append(b.red, *r)
+		}
+		b.fx = append(b.fx, e)
+	default:
+		c.rt.apply(&e, r)
 	}
-	c.fx.fns = append(c.fx.fns, fn)
+}
+
+// emitMsg records the send (or local enqueue) of m, stamped now.
+func (c *Ctx) emitMsg(kind uint8, m *message) {
+	//charmvet:retain (effect record: applied at this delivery's commit, before the Ctx and the message are recycled)
+	c.record(effect{kind: kind, m: m, at: c.Now()}, nil)
+}
+
+// apply performs one effect; r carries a contribution's arguments.
+func (rt *Runtime) apply(e *effect, r *contribution) {
+	switch e.kind {
+	case fxSend:
+		rt.send(e.m, e.at)
+	case fxEnqueue:
+		rt.inflight++
+		rt.enqueue(e.m, e.m.srcPE)
+	case fxContribute:
+		rt.contribute(r, e.at)
+	default:
+		e.fn()
+	}
+}
+
+// flushFX applies the phase's effects in call order and recycles the
+// buffer. The context is a commit context by then, so an effect that
+// emits more (a Defer that sends) applies them at its own position.
+func (c *Ctx) flushFX() {
+	b := c.buf
+	c.buf = nil
+	for i := range b.fx {
+		e := &b.fx[i]
+		var r *contribution
+		if e.kind == fxContribute {
+			r = &b.red[e.i]
+		}
+		c.rt.apply(e, r)
+	}
+	clear(b.fx)
+	clear(b.red)
+	b.fx, b.red = b.fx[:0], b.red[:0]
+	fxPool.Put(b)
 }
 
 // Defer runs fn after the current entry method's effects become globally
-// visible: immediately after the handler on the sequential backend, and in
-// the event's commit on the parallel backend. Handlers that mutate state
-// shared beyond their element (driver-level aggregates, error latches)
-// must route those writes through Defer so the parallel backend can run
-// handler bodies concurrently.
-func (c *Ctx) Defer(fn func()) { c.emit(fn) }
-
-// deferStruct queues a structural element-table mutation (Insert/Destroy).
-// Unlike plain effects, these must never apply mid-handler: the parallel
-// backends cannot make a phase's insert visible before its commit, so the
-// rest of the handler — in particular the destination resolution that
-// prices later sends — must see pre-handler tables on every backend. In a
-// sequential phase this lazily switches the context to buffered mode, so
-// the mutation and every subsequent effect replay at commit in call order,
-// exactly as the parallel backends interleave them. In commit context
-// (PE handlers, replayed effects) the mutation applies inline as before.
-func (c *Ctx) deferStruct(fn func()) {
-	if c.fx == nil && c.phase {
-		c.fx = &fxList{}
-	}
-	c.emit(fn)
-}
-
-// flushFX replays the buffered effects in call order and switches the
-// context to immediate mode first, so an effect that defers further work
-// runs it inline at its own position in the order.
-func (c *Ctx) flushFX() {
-	c.phase = false
-	if c.fx == nil {
-		return
-	}
-	fx := c.fx
-	c.fx = nil
-	for i := 0; i < len(fx.fns); i++ {
-		fx.fns[i]()
-	}
-}
+// visible: in an element handler, at the delivery's commit, after the
+// effects emitted before it; in a PE handler or driver code, at once.
+// Handlers that mutate state shared beyond their element (driver-level
+// aggregates, error latches) must route those writes through Defer so the
+// parallel backends can run handler bodies concurrently. The runtime's own
+// closure effects (Insert, Destroy, Migrate, AtSync) take this path too.
+func (c *Ctx) Defer(fn func()) { c.record(effect{kind: fxFunc, fn: fn}, nil) }
 
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.rt }
@@ -156,9 +208,7 @@ func (c *Ctx) Now() des.Time { return c.start + c.elapsed }
 // Charge adds compute cost: work is seconds on a dedicated PE at base
 // frequency, scaled by the PE's current speed (DVFS, interference).
 func (c *Ctx) Charge(work float64) {
-	d := c.rt.mach.ComputeTime(c.pe, work)
-	c.elapsed += d
-	c.chargeLoad(d)
+	c.ChargeSeconds(c.rt.mach.ComputeTime(c.pe, work))
 }
 
 // ChargeWithCache charges work whose working set is ws bytes, applying the
@@ -168,8 +218,12 @@ func (c *Ctx) ChargeWithCache(work float64, ws int64, sharers int) {
 }
 
 // ChargeSeconds adds an absolute virtual duration, bypassing the speed
-// model (used for fixed protocol costs).
+// model (used for fixed protocol costs). Both reject a NaN, infinite or
+// negative duration, so runOne's panic names the handler on every backend.
 func (c *Ctx) ChargeSeconds(d des.Time) {
+	if !(d >= 0) || math.IsInf(float64(d), 1) {
+		panic(fmt.Sprintf("charm: charge of %v s (durations must be finite and non-negative)", float64(d)))
+	}
 	c.elapsed += d
 	c.chargeLoad(d)
 }
@@ -221,6 +275,14 @@ type SendOpts struct {
 	Prio int64
 }
 
+// prio is the send's priority; nil options mean the default priority.
+func (o *SendOpts) prio() int64 {
+	if o == nil {
+		return prioDefault
+	}
+	return o.Prio
+}
+
 func (c *Ctx) msgSize(payload any, opts *SendOpts) int {
 	if opts != nil && opts.Bytes > 0 {
 		return opts.Bytes
@@ -253,7 +315,7 @@ func (c *Ctx) resolveFor(dest elemKey) int {
 		return dst
 	}
 	dst := c.rt.resolve(c.pe, dest)
-	if c.phase && c.rt.spec != nil {
+	if c.buf != nil && c.rt.spec != nil {
 		p := c.rt.pes[c.pe]
 		p.resLog = append(p.resLog, int32(dst))
 	}
@@ -263,17 +325,8 @@ func (c *Ctx) resolveFor(dest elemKey) int {
 // SendOpt is Send with explicit size/priority options.
 func (c *Ctx) SendOpt(arr *Array, idx Index, ep EP, payload any, opts *SendOpts) {
 	size := c.msgSize(payload, opts)
-	var prio int64
-	if opts != nil {
-		prio = opts.Prio
-	}
 	dest := elemKey{array: arr.id, idx: idx}
-	dst := c.resolveFor(dest)
-	// The clock takes the locality-aware send cost (node-local delivery is
-	// cheaper), but the load meter takes the uniform node-local floor: see
-	// chargeLoadWork for why measured load must not depend on placement.
-	c.elapsed += c.rt.mach.SendOverheadTo(c.pe, dst)
-	c.chargeLoadWork(c.rt.mach.Config().SendOverheadLocal)
+	m := c.sendMsg(c.resolveFor(dest), ep, payload, size, opts)
 	if c.elem != nil {
 		c.elem.msgsSent++
 		c.elem.bytesSent += uint64(size)
@@ -284,59 +337,33 @@ func (c *Ctx) SendOpt(arr *Array, idx Index, ep EP, payload any, opts *SendOpts)
 			c.elem.comm[dest] += uint64(size)
 		}
 	}
-	if c.replay {
-		// Effect-suppressed: the send went out when the delivery originally
-		// committed. The clock and meter charges above reconstruct Now().
-		return
+	if m != nil {
+		m.dest, m.destPE = dest, -1
+		c.emitMsg(fxSend, m)
 	}
-	m := getMsg()
-	m.dest = dest
-	m.destPE = -1
-	m.ep = ep
-	m.payload = payload
-	m.prio = prio
-	m.size = size
-	m.srcPE = c.pe
-	m.cause = c.cause
-	at := c.Now()
-	if c.fx == nil {
-		// Immediate mode: the steady-state send path runs allocation-free
-		// (pooled message, no deferred-effect closure).
-		c.rt.send(m, at)
-		return
-	}
-	//charmvet:retain (effect closure: runs at this delivery's commit, before Ctx and message are recycled)
-	c.fx.fns = append(c.fx.fns, func() { c.rt.send(m, at) })
 }
 
 // SendPE invokes a PE-level handler on the destination PE.
 func (c *Ctx) SendPE(pe int, h PEH, payload any, opts *SendOpts) {
-	size := c.msgSize(payload, opts)
-	var prio int64
-	if opts != nil {
-		prio = opts.Prio
+	if m := c.sendMsg(pe, EP(h), payload, c.msgSize(payload, opts), opts); m != nil {
+		m.destPE = pe
+		c.emitMsg(fxSend, m)
 	}
-	// Locality-aware clock, uniform meter: see SendOpt.
-	c.elapsed += c.rt.mach.SendOverheadTo(c.pe, pe)
+}
+
+// sendMsg charges a send toward PE dst and returns its message to address
+// and emit; nil in coast-forward replay, where only the charges remain.
+// The clock takes the locality-aware cost, the load meter the uniform
+// node-local floor (see chargeLoadWork).
+func (c *Ctx) sendMsg(dst int, ep EP, payload any, size int, opts *SendOpts) *message {
+	c.elapsed += c.rt.mach.SendOverheadTo(c.pe, dst)
 	c.chargeLoadWork(c.rt.mach.Config().SendOverheadLocal)
 	if c.replay {
-		return // see SendOpt: charge the clock, suppress the effect
+		return nil
 	}
 	m := getMsg()
-	m.destPE = pe
-	m.ep = EP(h)
-	m.payload = payload
-	m.prio = prio
-	m.size = size
-	m.srcPE = c.pe
-	m.cause = c.cause
-	at := c.Now()
-	if c.fx == nil {
-		c.rt.send(m, at)
-		return
-	}
-	//charmvet:retain (effect closure: runs at this delivery's commit, before Ctx and message are recycled)
-	c.fx.fns = append(c.fx.fns, func() { c.rt.send(m, at) })
+	m.ep, m.payload, m.size, m.prio, m.srcPE, m.cause = ep, payload, size, opts.prio(), c.pe, c.cause
+	return m
 }
 
 // LocalInvoke runs an entry method on a local element synchronously within
@@ -356,7 +383,7 @@ func (c *Ctx) LocalInvoke(arr *Array, idx Index, ep EP, payload any) {
 			// of logging) — reaching another chare here is divergence.
 			panic("charm: coast-forward replay diverged: LocalInvoke of " + key.String() + " during a logged single-element delivery")
 		}
-		if c.phase {
+		if c.buf != nil {
 			if sp := c.rt.specFor(c.pe); sp != nil {
 				// Speculative execution is about to mutate a second chare;
 				// make it restorable too so a rollback undoes the whole
@@ -372,13 +399,11 @@ func (c *Ctx) LocalInvoke(arr *Array, idx Index, ep EP, payload any) {
 		}
 	}
 	sub := c.rt.newCtxAt(c.pe, el, c.start)
-	sub.fx = c.fx // share the caller's effect buffer (and its mode)
-	sub.phase = c.phase
+	sub.buf = c.buf // the nested execution's effects join the caller's, in call order
 	sub.cause = c.cause
 	sub.replay = c.replay
 	sub.res, sub.resIdx = c.res, c.resIdx
 	arr.handlers[ep](el.obj, sub, payload)
-	c.fx = sub.fx // pick up a deferStruct upgrade so the caller buffers too
 	c.elapsed += sub.elapsed
 	c.loadFS += sub.loadFS
 	c.resIdx = sub.resIdx
@@ -423,7 +448,7 @@ func (c *Ctx) AtSync() {
 		return
 	}
 	el.atSync = true
-	c.emit(func() {
+	c.Defer(func() {
 		c.rt.lbArrived++
 		c.rt.maybeStartLB()
 	})
@@ -442,21 +467,23 @@ func (c *Ctx) Migrate(toPE int) {
 		return
 	}
 	at := c.Now()
-	c.emit(func() { rt.atEpoch(at, func() { rt.moveElement(el, toPE, true) }) })
+	c.Defer(func() { rt.atEpoch(at, func() { rt.moveElement(el, toPE, true) }) })
 }
 
 // Insert creates a new element of arr with the given initial state on this
 // PE (dynamic insertion, used by AMR when refining). Messages already
 // buffered at the element's home are flushed to it. The new element joins
 // the creating element's current reduction generation, so in-progress and
-// future reductions stay aligned across restructuring.
+// future reductions stay aligned across restructuring. From an element
+// handler it applies at the commit: the rest of the handler sees, and
+// prices its sends against, the tables as they were before it ran.
 func (c *Ctx) Insert(arr *Array, idx Index, obj Chare) {
 	gen, haveGen := uint64(0), false
 	if c.elem != nil {
 		gen, haveGen = c.elem.redGen, true
 	}
 	rt, pe := c.rt, c.pe
-	c.deferStruct(func() {
+	c.Defer(func() {
 		rt.insertElement(arr, idx, obj, pe, true)
 		if haveGen {
 			if el, ok := rt.pes[pe].elems[elemKey{array: arr.id, idx: idx}]; ok {
@@ -472,8 +499,8 @@ func (c *Ctx) Insert(arr *Array, idx Index, obj Chare) {
 func (c *Ctx) Destroy(arr *Array, idx Index) {
 	if c.replay {
 		// The destruction already committed (and dropped the target's
-		// image); the element may no longer exist, and the deferStruct
-		// would be discarded anyway.
+		// image); the element may no longer exist, and the effect would
+		// be dropped anyway.
 		return
 	}
 	key := elemKey{array: arr.id, idx: idx}
@@ -482,5 +509,5 @@ func (c *Ctx) Destroy(arr *Array, idx Index) {
 		panic("charm: Destroy of non-local element " + key.String())
 	}
 	rt := c.rt
-	c.deferStruct(func() { rt.removeElement(el) })
+	c.Defer(func() { rt.removeElement(el) })
 }

@@ -22,11 +22,7 @@ func (c *Ctx) Multicast(arr *Array, idxs []Index, ep EP, payload any, opts *Send
 	if len(idxs) == 0 {
 		return
 	}
-	size := c.msgSize(payload, opts)
-	var prio int64
-	if opts != nil {
-		prio = opts.Prio
-	}
+	size, prio := c.msgSize(payload, opts), opts.prio()
 	// Group targets by the sender's best knowledge of their location.
 	byPE := map[int][]Index{}
 	for _, idx := range idxs {
@@ -53,7 +49,7 @@ func (c *Ctx) Multicast(arr *Array, idxs []Index, ep EP, payload any, opts *Send
 		}, &SendOpts{Bytes: size + 16*len(group), Prio: prio})
 		// Each element in the section is one logical application message.
 		n := len(group)
-		c.emit(func() { c.rt.inflight += n })
+		c.Defer(func() { c.rt.inflight += n })
 	}
 }
 

@@ -171,16 +171,13 @@ func (p *peState) removeSorted(el *element) {
 }
 
 // Runtime is the adaptive RTS: it owns the machine, the event engine, the
-// chare arrays, and the location manager.
+// chare arrays, and the location manager. On every engine an element
+// handler's effects apply at its delivery's commit (see Ctx.record).
 type Runtime struct {
 	eng  des.Engine
 	mach *machine.Machine
 
-	// parallel marks the parsim and optsim backends: element-handler
-	// contexts buffer their global effects (see Ctx.fx) so handler bodies
-	// can run concurrently, and PE→shard mapping follows the node layout.
-	parallel bool
-	peShard  []int // PE id -> shard (node) id
+	peShard []int // PE id -> shard (node) id (the parallel backends' unit)
 	// spec is the optimistic backend's speculation controller (nil
 	// elsewhere): per-shard undo logs that phases record into so a
 	// straggler can roll their shard-local mutations back.
@@ -282,7 +279,6 @@ type RuntimeStats struct {
 func New(m *machine.Machine) *Runtime {
 	cfg := m.Config()
 	var eng des.Engine
-	parallel := false
 	switch cfg.Backend {
 	case "", "sequential":
 		eng = des.NewEngine()
@@ -294,20 +290,17 @@ func New(m *machine.Machine) *Runtime {
 			Shards:    m.NumNodes(),
 			Workers:   cfg.ParallelWorkers,
 		})
-		parallel = true
 	case "optimistic", "optsim":
 		eng = optsim.New(optsim.Options{
 			Shards:  m.NumNodes(),
 			Workers: cfg.ParallelWorkers,
 			Window:  des.Time(cfg.OptimisticWindow),
 		})
-		parallel = true
 	default:
 		panic(fmt.Sprintf("charm: unknown backend %q (want \"sequential\", \"heap\", \"parallel\", or \"optimistic\")", cfg.Backend))
 	}
 	rt := &Runtime{
 		eng:        eng,
-		parallel:   parallel,
 		mach:       m,
 		arrayNames: map[string]*Array{},
 		keyEID:     map[elemKey]int32{},
@@ -706,11 +699,12 @@ func (rt *Runtime) pumpPhase(a any, b int64, at des.Time) func() {
 
 // runOne executes the highest-priority queued message on p. It is the
 // phase half of a sharded event: element entry methods — the app's real
-// compute — run here, touching only this PE's state, and the returned
-// commit closure applies the global effects (statistics, quiescence,
-// rescheduling) in deterministic order. On the sequential backend the
-// engine runs phase and commit back to back, reproducing the historical
-// single-pass behaviour exactly.
+// compute — run here, touching only this PE's state and buffering their
+// global effects (see Ctx.record), and the returned commit closure
+// applies them, then statistics, quiescence and rescheduling, in
+// deterministic order. Every backend runs this split; the sequential ones
+// run the commit right after the phase. A handler panic is re-raised
+// naming the entry method, element, PE and time.
 func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	// Under the optimistic backend this phase may be speculative: record
 	// every shard-local mutation in the shard's undo log so a straggler
@@ -787,10 +781,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 		p.resLog = p.resLog[:0]
 	}
 	ctx := p.takeCtx(rt, el, at)
-	ctx.phase = true
-	if rt.parallel {
-		ctx.fx = &fxList{}
-	}
+	ctx.buf = fxPool.Get().(*fxBuf) // an element handler's phase: its effects buffer
 	ctx.cause = m.traceID
 	// The clock takes the locality-aware receive cost (a node-local sender
 	// skips the network stack), but the load meter takes the uniform
@@ -824,9 +815,8 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 			rt.inflight--
 			rt.Stats.MsgsDelivered++
 			if rt.hooks != nil {
-				// After flushFX, so the execution's sends (inline on the
-				// sequential backend, replayed here on the parallel one) hold
-				// the same log positions on both backends.
+				// After flushFX, so the hooks log the execution after the
+				// sends it made.
 				arr := rt.arrays[m.dest.array]
 				name := arr.EntryName(m.ep)
 				rt.hooks.EntryBegin(at, p.id, arr.name, name, m.dest.idx, m.traceID)
@@ -897,7 +887,7 @@ func (rt *Runtime) DecInflight(n int) {
 // scheduler message (it queues behind the PE's current work). Transport
 // libraries use it for flush timers.
 func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
-	if delay < 0 {
+	if !(delay >= 0) {
 		panic(fmt.Sprintf("charm: ExecuteOnPE with negative delay %v", delay))
 	}
 	epoch := rt.epoch

@@ -322,7 +322,9 @@ func (sc *specController) RollbackSpec(s int) {
 	// re-arm the pump, and return the pending-delivery slot and recycled
 	// context to their pre-phase values. The context the dropped execution
 	// used is the old spare pointer itself — the execution is dead, so
-	// handing it back as the spare is exactly the recycling contract.
+	// handing it back as the spare is exactly the recycling contract (the
+	// next take resets it, and its buffered effects go with their buffer
+	// to the collector).
 	if sp.p != nil {
 		p := sp.p
 		if sp.popped != nil {
@@ -467,7 +469,7 @@ func (sc *specController) restoreImage(el *element, sv *elemSave) {
 
 // coastForward re-executes the committed deliveries logged since el's
 // image, in commit order, each in an effect-suppressed replay context:
-// every global effect buffers into a discarded fxList (the originals are
+// every global effect is dropped where it is emitted (the originals are
 // already committed), sends re-price from the recorded resolve answers,
 // and no message, load charge, or statistic escapes. Determinism of the
 // phase/commit discipline guarantees the identical state trajectory; the
@@ -480,9 +482,7 @@ func (sc *specController) coastForward(el *element, sv *elemSave) {
 	for i := range sv.log {
 		rec := &sv.log[i]
 		ctx := rt.newCtxAt(el.pe, el, rec.at)
-		ctx.phase = true
 		ctx.replay = true
-		ctx.fx = &fxList{} // buffer — then discard — every global effect
 		ctx.cause = rec.m.traceID
 		ctx.res = sv.resolves[:rec.resEnd]
 		ctx.resIdx = rec.resStart

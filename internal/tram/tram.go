@@ -263,7 +263,7 @@ func (c *Client) route(ctx *charm.Ctx, it item) {
 		pb.armed[pi] = true
 		// Arming the timer schedules an engine event — a global effect.
 		// The timer body itself runs as a PE-handler message, where the
-		// context is always in immediate mode.
+		// context is a commit context and applies its effects at once.
 		ctx.Defer(func() {
 			c.rt.ExecuteOnPE(me, c.opts.FlushTimeout, func(ctx *charm.Ctx) {
 				pb.armed[pi] = false
